@@ -11,7 +11,9 @@ cross-product into an explicit *campaign*:
   cross-product helpers;
 * :mod:`~repro.campaign.executor` -- :class:`CampaignExecutor`, which fans
   cells out over a ``multiprocessing`` pool (deterministic serial path for
-  ``jobs=1``) and returns results in stable order;
+  ``jobs=1``), simulates each cache key once, and returns results in
+  stable order; ``resolve_cell`` there is the one place a cell becomes a
+  cache key and a simulation payload;
 * :mod:`~repro.campaign.cache` -- :class:`ResultCache`, a content-addressed
   result store so re-running a figure only simulates missing cells;
 * :mod:`~repro.campaign.backends` -- the pluggable storage behind the

@@ -148,8 +148,11 @@ class CacheBackend:
 
         Returns ``"new"`` when the key was unclaimed, ``"expired"`` when
         an expired lease (a crashed or stalled worker) was taken over,
-        and ``None`` when a live lease is held by someone else.  Claims
-        are idempotent for the same owner (refreshing the expiry).
+        ``"done"`` when the key is already stored (no lease is left
+        behind), and ``None`` when a live lease is held by someone else.
+        The stored check is part of the claim, so a cell finished between
+        a worker's scans is never simulated twice.  Claims are idempotent
+        for the same owner (refreshing the expiry).
         """
         raise NotImplementedError
 
@@ -240,6 +243,18 @@ class DirectoryBackend(CacheBackend):
             return None
 
     def try_claim(self, key: str, owner: str, ttl: float) -> Optional[str]:
+        verdict = self._claim_lease(key, owner, ttl)
+        # put() writes the entry before it drops the lease, so a lease
+        # won here was either won before the entry appeared (the holder
+        # is still simulating) or after it: in that case the entry is
+        # visible now, and the lease just written is dropped again.
+        if verdict is not None and self.contains(key):
+            self.release(key, owner)
+            return "done"
+        return verdict
+
+    def _claim_lease(self, key: str, owner: str,
+                     ttl: float) -> Optional[str]:
         self.root.mkdir(parents=True, exist_ok=True)
         record = json.dumps({"owner": owner, "expires": time.time() + ttl})
         path = self._lease_path(key)
@@ -289,8 +304,8 @@ class SqliteBackend(CacheBackend):
 
     WAL journaling lets readers proceed under a writer; every mutation is
     a single transaction, and lease claiming runs under ``BEGIN
-    IMMEDIATE`` so the test-and-take-over of an expired lease is atomic
-    across processes.  The connection is opened lazily and re-opened
+    IMMEDIATE`` so the stored-entry check and the test-and-take-over of
+    an expired lease are atomic across processes.  The connection is opened lazily and re-opened
     after a fork, so backends can be constructed in a parent and used in
     ``multiprocessing`` workers.
     """
@@ -395,17 +410,21 @@ class SqliteBackend(CacheBackend):
         now = time.time()
         _retry_locked(lambda: conn.execute("BEGIN IMMEDIATE"))
         try:
+            stored = conn.execute("SELECT 1 FROM entries WHERE key = ?",
+                                  (key,)).fetchone()
             row = conn.execute("SELECT owner, expires FROM leases "
                                "WHERE key = ?", (key,)).fetchone()
-            if row is None:
-                verdict: Optional[str] = "new"
+            if stored is not None:
+                verdict: Optional[str] = "done"
+            elif row is None:
+                verdict = "new"
             elif row[0] == owner:
                 verdict = "new"  # refresh own lease
             elif row[1] <= now:
                 verdict = "expired"
             else:
                 verdict = None
-            if verdict is not None:
+            if verdict in ("new", "expired"):
                 conn.execute("INSERT OR REPLACE INTO leases "
                              "(key, owner, expires) VALUES (?, ?, ?)",
                              (key, owner, now + ttl))

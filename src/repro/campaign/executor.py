@@ -9,9 +9,12 @@ pool.  Because traces are generated deterministically from their seed and
 the simulator itself is deterministic, both paths produce bitwise-identical
 results.
 
-When a :class:`~repro.campaign.cache.ResultCache` is attached, cached cells
-are served from disk and only the missing cells are simulated; freshly
-simulated cells are written back, so a repeated campaign simulates nothing.
+Every cell is resolved to its cache key and payload by
+:func:`resolve_cell`, and cells sharing a key are simulated once.  When a
+:class:`~repro.campaign.cache.ResultCache` is attached, cached cells are
+served from disk and only the missing cells are simulated; each one is
+written back as soon as it finishes, so a repeated (or interrupted and
+restarted) campaign simulates only what is still missing.
 
 Worker processes rebuild each trace from its (spec, seed) rather than
 receiving it pickled: a trace is orders of magnitude bigger than its spec
@@ -30,10 +33,10 @@ import multiprocessing
 import os
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import (Dict, Iterator, List, Optional, Sequence, Tuple,
+                    TYPE_CHECKING)
 
 from ..config import SystemConfig
-from ..engine.batch.lanes import simulate_batch
 from ..engine.results import RunResult
 from ..engine.simulator import simulate
 from ..engine.system import validate_engine
@@ -41,7 +44,7 @@ from ..obs.recorder import Recorder, active
 from ..trace.trace import MultiThreadedTrace
 from ..workloads.registry import build_trace, resolve_spec
 from .cache import CacheStats, ResultCache, cache_key
-from .jobs import Job, dedupe_jobs
+from .jobs import Job
 from .registry import DEFAULT_REGISTRY, ConfigRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
@@ -51,10 +54,23 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
 #: -- everything a worker needs to simulate one cell, all cheaply picklable.
 _CellPayload = Tuple[SystemConfig, object, int, float, str]
 
-#: A whole same-config lane for the batch engine: (config, [(spec, seed)],
-#: warmup_fraction).  One worker simulates the lane so the vectorized
-#: static tables amortize across its runs.
-_LanePayload = Tuple[SystemConfig, List[Tuple[object, int]], float]
+
+def resolve_cell(job: Job, settings: "ExperimentSettings",
+                 registry: ConfigRegistry,
+                 engine: str) -> Tuple[str, _CellPayload]:
+    """The cell's persistent cache key and its simulation payload.
+
+    ``settings`` are the cell's own settings, already scaled to its core
+    count; ``registry`` is the (possibly overlaid) configuration registry
+    that names ``job.config_name``.  This is the one place a cell is
+    resolved: the pool executor and the work-queue drainer both call it,
+    so a store drained by queue workers serves a later campaign entirely
+    from cache.
+    """
+    config = registry.make(job.config_name, settings)
+    spec = resolve_spec(job.workload, settings.ops_per_thread)
+    key = cache_key(config, spec, job.seed, settings.warmup_fraction)
+    return key, (config, spec, job.seed, settings.warmup_fraction, engine)
 
 
 def _simulate_cell(payload: _CellPayload) -> RunResult:
@@ -65,29 +81,18 @@ def _simulate_cell(payload: _CellPayload) -> RunResult:
                     engine=engine)
 
 
-def _simulate_lane(payload: _LanePayload) -> List[RunResult]:
-    """Worker entry point: simulate one same-config lane with the batch tier."""
-    config, cells, warmup_fraction = payload
-    traces = [build_trace(spec, num_threads=config.num_cores, seed=seed)
-              for spec, seed in cells]
-    return simulate_batch(config, traces, warmup_fraction=warmup_fraction)
+def _simulate_cell_timed(item: Tuple[str, _CellPayload]):
+    """Pool entry point: one keyed cell, with its wall-clock span.
 
-
-# Timed worker variants, used only when a recorder is attached: they report
-# epoch timestamps and the worker's pid so the parent can place each job on
-# the campaign's wall-clock tracks.  Results are unchanged -- the timing
-# wraps the exact same simulation call.
-
-def _simulate_cell_timed(payload: _CellPayload):
+    Returns ``(key, result, start, end, pid)``: the key pairs results
+    arriving in completion order with their cells, and the epoch
+    timestamps and worker pid place the job on the campaign's wall-clock
+    tracks when a recorder is attached.
+    """
+    key, payload = item
     start = time.time()
     result = _simulate_cell(payload)
-    return result, start, time.time(), os.getpid()
-
-
-def _simulate_lane_timed(payload: _LanePayload):
-    start = time.time()
-    results = _simulate_lane(payload)
-    return results, start, time.time(), os.getpid()
+    return key, result, start, time.time(), os.getpid()
 
 
 @dataclass
@@ -157,8 +162,8 @@ class CampaignExecutor:
         self.jobs = jobs
         self.cache = cache
         self.registry = registry if registry is not None else DEFAULT_REGISTRY
-        #: campaign-level observability: per-job wall-clock spans, cache
-        #: tallies, lane widths.  ``None`` (the default) records nothing;
+        #: campaign-level observability: per-job wall-clock spans and
+        #: cache tallies.  ``None`` (the default) records nothing;
         #: simulations themselves always run without an engine recorder
         #: here, so their results never depend on telemetry.
         self.recorder = active(recorder)
@@ -166,16 +171,12 @@ class CampaignExecutor:
         self._worker_tids: Dict[int, int] = {}
         #: execution kernel for missing cells.  All engines produce
         #: byte-identical results, so cache keys and entries are
-        #: engine-independent; under ``"batch"`` missing cells are grouped
-        #: into same-config lanes so the vectorized tables are shared.
+        #: engine-independent.
         self.engine = validate_engine(engine)
         self.last_report = CampaignReport()
         self._traces: Dict[Tuple[str, int, int], MultiThreadedTrace] = {}
 
     # -- building blocks ----------------------------------------------------
-
-    def config_for(self, job: Job) -> SystemConfig:
-        return self.registry.make(job.config_name, self.settings)
 
     def trace_for(self, workload: str, seed: int,
                   num_threads: Optional[int] = None) -> MultiThreadedTrace:
@@ -198,16 +199,9 @@ class CampaignExecutor:
                 ops_per_thread=self.settings.ops_per_thread, seed=seed)
         return self._traces[key]
 
-    def key_for(self, job: Job) -> str:
-        """The cell's persistent cache key."""
-        spec = resolve_spec(job.workload, self.settings.ops_per_thread)
-        return cache_key(self.config_for(job), spec, job.seed,
-                         self.settings.warmup_fraction)
-
-    def _payload(self, job: Job) -> _CellPayload:
-        spec = resolve_spec(job.workload, self.settings.ops_per_thread)
-        return (self.config_for(job), spec, job.seed,
-                self.settings.warmup_fraction, self.engine)
+    def resolve(self, job: Job) -> Tuple[str, _CellPayload]:
+        """``(cache key, payload)`` of one cell (see :func:`resolve_cell`)."""
+        return resolve_cell(job, self.settings, self.registry, self.engine)
 
     # -- execution -----------------------------------------------------------
 
@@ -223,68 +217,45 @@ class CampaignExecutor:
                 "seed": job.seed, "engine": self.engine, "worker": pid}
 
     def run(self, jobs: Sequence[Job]) -> List[RunResult]:
-        """Run ``jobs``; returns results in the same order as the input."""
+        """Run ``jobs``; returns results in the same order as the input.
+
+        Jobs are folded by cache key, so a repeated job and an alias (a
+        differently named configuration that builds the same machine) are
+        simulated once.  Each simulated cell is stored as soon as it
+        finishes: an interrupted campaign keeps every completed cell.
+        """
         jobs = list(jobs)
-        unique = dedupe_jobs(jobs)
-        report = CampaignReport(total=len(jobs),
-                                deduplicated=len(jobs) - len(unique))
         rec = self.recorder
         cache_before = self.cache.stats if self.cache is not None else None
         backends_before = dict(self.cache.backend_stats()) \
             if self.cache is not None else None
 
-        results: Dict[Job, RunResult] = {}
         keys: Dict[Job, str] = {}
-        missing: List[Job] = []
-        for job in unique:
-            if self.cache is not None:
-                keys[job] = self.key_for(job)
-                cached = self.cache.get(keys[job])
-                if cached is not None:
-                    results[job] = cached
-                    report.cache_hits += 1
-                    continue
-            missing.append(job)
+        #: key -> (first job with that key, its payload), in input order.
+        cells: Dict[str, Tuple[Job, _CellPayload]] = {}
+        for job in jobs:
+            if job not in keys:
+                key, payload = self.resolve(job)
+                keys[job] = key
+                cells.setdefault(key, (job, payload))
+        report = CampaignReport(total=len(jobs),
+                                deduplicated=len(jobs) - len(cells))
+
+        results: Dict[str, RunResult] = {}
+        missing: List[str] = []
+        for key in cells:
+            cached = self.cache.get(key) if self.cache is not None else None
+            if cached is not None:
+                results[key] = cached
+                report.cache_hits += 1
+            else:
+                missing.append(key)
 
         report.simulated = len(missing)
-        if missing:
-            workers = min(self.jobs, len(missing))
-            if self.engine == "batch":
-                simulated = self._run_lanes(missing, workers)
-            elif workers > 1:
-                payloads = [self._payload(job) for job in missing]
-                with multiprocessing.Pool(processes=workers) as pool:
-                    if rec is not None:
-                        timed = pool.map(_simulate_cell_timed, payloads,
-                                         chunksize=1)
-                        simulated = []
-                        for job, (result, start, end, pid) in zip(missing,
-                                                                  timed):
-                            rec.wall_span(self._worker_tid(pid), "job",
-                                          start, end, self._job_args(job, pid))
-                            simulated.append(result)
-                    else:
-                        simulated = pool.map(_simulate_cell, payloads,
-                                             chunksize=1)
-            else:
-                simulated = []
-                for job in missing:
-                    config = self.config_for(job)
-                    trace = self.trace_for(job.workload, job.seed,
-                                           num_threads=config.num_cores)
-                    start = time.time() if rec is not None else 0.0
-                    result = simulate(
-                        config, trace,
-                        warmup_fraction=self.settings.warmup_fraction,
-                        engine=self.engine)
-                    if rec is not None:
-                        rec.wall_span(0, "job", start, time.time(),
-                                      self._job_args(job, os.getpid()))
-                    simulated.append(result)
-            for job, result in zip(missing, simulated):
-                results[job] = result
-                if self.cache is not None:
-                    self.cache.put(keys[job], result)
+        for key, result in self._simulate(missing, cells):
+            results[key] = result
+            if self.cache is not None:
+                self.cache.put(key, result)
 
         if self.cache is not None:
             report.cache_stats = self.cache.stats.since(cache_before)
@@ -301,82 +272,37 @@ class CampaignExecutor:
                 rec.count(f"cache.{label}.misses", stats.misses)
                 rec.count(f"cache.{label}.stores", stats.stores)
         self.last_report = report
-        return [results[job] for job in jobs]
+        return [results[keys[job]] for job in jobs]
 
-    def _run_lanes(self, missing: Sequence[Job], workers: int) -> List[RunResult]:
-        """Simulate missing cells with the batch tier, laned by configuration.
+    def _simulate(self, missing: Sequence[str],
+                  cells: Dict[str, Tuple[Job, _CellPayload]]
+                  ) -> Iterator[Tuple[str, RunResult]]:
+        """Simulate the ``missing`` keys; yields each as it finishes.
 
-        Cells sharing a configuration form one lane: the batch engine
-        builds a single vectorized profile stack for the whole lane, so
-        its static passes amortize across every (workload, seed) in it.
-        Results come back in ``missing`` order, and because runs in a lane
-        share only immutable tables, they are byte-identical to per-cell
-        simulation at any lane width and under any grouping.
-
-        Lanes are dispatched widest first.  The pool hands one lane per
-        worker and wide lanes (especially multicore ones) dominate the
-        wall clock, so a wide lane scheduled last would leave the other
-        workers idle for its whole duration.  Ordering only changes
-        scheduling: results are still written back by position.
+        Serially in-process (in ``missing`` order, sharing memoized
+        traces) with one worker, otherwise over a process pool in
+        completion order.
         """
-        grouped: Dict[str, List[int]] = {}
-        for pos, job in enumerate(missing):
-            grouped.setdefault(job.config_name, []).append(pos)
-        # Stable sort: equal-width lanes keep first-appearance order, so
-        # dispatch order is deterministic for a given job list.
-        lanes: List[List[int]] = sorted(
-            grouped.values(), key=len, reverse=True)
         rec = self.recorder
-        if rec is not None:
-            rec.count("campaign.lanes", len(lanes))
-            for members in lanes:
-                rec.observe("campaign.lane_width", len(members))
-        results: List[Optional[RunResult]] = [None] * len(missing)
-        if workers > 1 and len(lanes) > 1:
-            payloads: List[_LanePayload] = []
-            for members in lanes:
-                config = self.config_for(missing[members[0]])
-                cells = [(resolve_spec(missing[pos].workload,
-                                       self.settings.ops_per_thread),
-                          missing[pos].seed) for pos in members]
-                payloads.append((config, cells,
-                                 self.settings.warmup_fraction))
-            with multiprocessing.Pool(
-                    processes=min(workers, len(lanes))) as pool:
-                if rec is not None:
-                    timed = pool.map(_simulate_lane_timed, payloads,
-                                     chunksize=1)
-                    lane_results = []
-                    for members, (lane, start, end, pid) in zip(
-                            lanes, timed):
-                        first = missing[members[0]]
-                        rec.wall_span(
-                            self._worker_tid(pid), "lane", start, end,
-                            {"config": first.config_name,
-                             "width": len(members), "worker": pid})
-                        lane_results.append(lane)
-                else:
-                    lane_results = pool.map(_simulate_lane, payloads,
-                                            chunksize=1)
-            for members, lane in zip(lanes, lane_results):
-                for pos, result in zip(members, lane):
-                    results[pos] = result
-        else:
-            for members in lanes:
-                config = self.config_for(missing[members[0]])
-                traces = [self.trace_for(missing[pos].workload,
-                                         missing[pos].seed,
-                                         num_threads=config.num_cores)
-                          for pos in members]
-                start = time.time() if rec is not None else 0.0
-                lane = simulate_batch(
-                    config, traces,
-                    warmup_fraction=self.settings.warmup_fraction)
-                if rec is not None:
-                    rec.wall_span(
-                        0, "lane", start, time.time(),
-                        {"config": missing[members[0]].config_name,
-                         "width": len(members), "worker": os.getpid()})
-                for pos, result in zip(members, lane):
-                    results[pos] = result
-        return results  # type: ignore[return-value]
+        workers = min(self.jobs, len(missing))
+        if workers > 1:
+            with multiprocessing.Pool(processes=workers) as pool:
+                for key, result, start, end, pid in pool.imap_unordered(
+                        _simulate_cell_timed,
+                        [(key, cells[key][1]) for key in missing]):
+                    if rec is not None:
+                        rec.wall_span(self._worker_tid(pid), "job", start,
+                                      end, self._job_args(cells[key][0], pid))
+                    yield key, result
+            return
+        for key in missing:
+            job, (config, _, seed, warmup_fraction, engine) = cells[key]
+            trace = self.trace_for(job.workload, seed,
+                                   num_threads=config.num_cores)
+            start = time.time() if rec is not None else 0.0
+            result = simulate(config, trace, warmup_fraction=warmup_fraction,
+                              engine=engine)
+            if rec is not None:
+                rec.wall_span(0, "job", start, time.time(),
+                              self._job_args(job, os.getpid()))
+            yield key, result

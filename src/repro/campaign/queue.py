@@ -9,10 +9,11 @@ of study names and settings), opens the same shared cache backend, and
 drains whatever cells are still missing.  Coordination happens entirely
 through the backend:
 
-* a cell already stored is skipped (someone finished it);
-* a missing cell is *claimed* via an atomic lease record
-  (:meth:`~repro.campaign.backends.CacheBackend.try_claim`) before
-  simulation, so no two live workers simulate the same cell;
+* every pending cell goes through one atomic backend call,
+  :meth:`~repro.campaign.backends.CacheBackend.try_claim`: a cell already
+  stored comes back ``"done"`` (someone finished it), and a missing one is
+  *claimed* via a lease record before simulation, so no two live workers
+  simulate the same cell;
 * a lease expires after ``lease_ttl`` seconds, so cells claimed by a
   crashed or wedged worker are re-issued to its peers;
 * :meth:`~repro.campaign.backends.CacheBackend.put` clears the lease in
@@ -34,14 +35,13 @@ import os
 import socket
 import time
 from dataclasses import dataclass
-from typing import List, Optional, TYPE_CHECKING, Tuple
+from typing import Dict, Optional, TYPE_CHECKING
 
 from ..engine.results import RunResult
 from ..errors import ReproError
 from ..obs.recorder import Recorder, active
-from ..workloads.registry import resolve_spec
-from .cache import ResultCache, cache_key
-from .executor import _CellPayload, _simulate_cell
+from .cache import ResultCache
+from .executor import _CellPayload, _simulate_cell, resolve_cell
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from ..studies.plan import StudyPlan
@@ -94,25 +94,24 @@ class QueueWorker:
         self.recorder = active(recorder)
         self.last_report = WorkerReport()
 
-    def _payloads(self) -> List[Tuple[str, _CellPayload]]:
-        """(cache key, simulation payload) for every unique plan cell.
+    def _cells(self) -> Dict[str, _CellPayload]:
+        """Cache key -> simulation payload for every distinct plan cell.
 
-        Keys are computed exactly as the pool executor computes them --
-        same registry overlay, same per-cell core-count scaling -- so a
-        drained backend serves a later ``study run`` entirely from cache.
+        Cells are resolved by :func:`~repro.campaign.executor.resolve_cell`
+        at their own core count, exactly as the pool executor resolves
+        them, so a drained backend serves a later ``study run`` entirely
+        from cache.  Aliased cells (equal keys) are drained once.
         """
         registry = self.plan.registry()
         settings = self.plan.settings
-        payloads: List[Tuple[str, _CellPayload]] = []
+        cells: Dict[str, _CellPayload] = {}
         for cell in self.plan.unique_cells:
             scaled = settings if cell.num_cores == settings.num_cores \
                 else dataclasses.replace(settings, num_cores=cell.num_cores)
-            config = registry.make(cell.config_name, scaled)
-            spec = resolve_spec(cell.workload, scaled.ops_per_thread)
-            key = cache_key(config, spec, cell.seed, scaled.warmup_fraction)
-            payloads.append((key, (config, spec, cell.seed,
-                                   scaled.warmup_fraction, self.engine)))
-        return payloads
+            key, payload = resolve_cell(cell.job(), scaled, registry,
+                                        self.engine)
+            cells.setdefault(key, payload)
+        return cells
 
     def _simulate(self, key: str, payload: _CellPayload) -> RunResult:
         rec = self.recorder
@@ -138,22 +137,22 @@ class QueueWorker:
         """
         rec = self.recorder
         start = time.perf_counter()
-        pending = self._payloads()
+        pending = self._cells()
         report = WorkerReport(total=len(pending))
         self.last_report = report  # live view, even if drain() raises
         deadline = time.monotonic() + self.max_wait
         while pending:
-            still_pending: List[Tuple[str, _CellPayload]] = []
+            still_pending: Dict[str, _CellPayload] = {}
             progressed = False
-            for key, payload in pending:
-                if self.cache.contains(key):
-                    report.served_elsewhere += 1
-                    progressed = True
-                    continue
+            for key, payload in pending.items():
                 claim = self.cache.try_claim(key, self.worker_id,
                                              self.lease_ttl)
                 if claim is None:
-                    still_pending.append((key, payload))
+                    still_pending[key] = payload
+                    continue
+                progressed = True
+                if claim == "done":
+                    report.served_elsewhere += 1
                     continue
                 if claim == "expired":
                     report.reissued += 1
@@ -163,13 +162,12 @@ class QueueWorker:
                     rec.count("queue.claims")
                 self._simulate(key, payload)
                 report.simulated += 1
-                progressed = True
             pending = still_pending
             if progressed:
                 deadline = time.monotonic() + self.max_wait
             elif pending:
                 if time.monotonic() >= deadline:
-                    held = [self.cache.lease_owner(key) for key, _ in pending]
+                    held = [self.cache.lease_owner(key) for key in pending]
                     raise ReproError(
                         f"worker {self.worker_id}: no progress in "
                         f"{self.max_wait:.0f}s with {len(pending)} cells "

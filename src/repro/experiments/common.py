@@ -155,6 +155,7 @@ class ExperimentRunner:
             tally = self.executor.last_report
             report.simulated = tally.simulated
             report.cache_hits = tally.cache_hits
+            report.deduplicated += tally.deduplicated
             report.cache_stats = tally.cache_stats
             report.backend_stats = tally.backend_stats
         self.last_report = report

@@ -133,7 +133,14 @@ class TestBackendConformance:
         backend.try_claim(key, "w1", ttl=60.0)
         backend.put(key, tiny_result)
         assert backend.lease_owner(key) is None
-        assert backend.try_claim(key, "w2", ttl=60.0) == "new"
+        assert backend.try_claim(key, "w2", ttl=60.0) == "done"
+
+    def test_claim_on_a_stored_key_is_done(self, backend, tiny_result):
+        key = KEYS[6]
+        backend.put(key, tiny_result)
+        assert backend.try_claim(key, "w1", ttl=60.0) == "done"
+        # the claim left no lease behind.
+        assert backend.lease_owner(key) is None
 
     def test_release(self, backend):
         key = KEYS[5]
@@ -159,6 +166,18 @@ class TestDirectoryBackend:
         backend.path_for(KEYS[0]).write_text("{not json", encoding="utf-8")
         assert backend.get(KEYS[0]) is None
         assert backend.stats.misses == 1
+
+    def test_stale_lease_on_a_stored_key_is_done(self, tmp_path,
+                                                 tiny_result):
+        # a put that stopped between writing the entry and dropping its
+        # lease: the takeover sees the entry and drops its own lease.
+        backend = DirectoryBackend(tmp_path / "store")
+        key = KEYS[7]
+        assert backend.try_claim(key, "crashed", ttl=0.0) == "new"
+        backend.path_for(key).write_text(tiny_result.to_json(),
+                                         encoding="utf-8")
+        assert backend.try_claim(key, "w2", ttl=60.0) == "done"
+        assert not backend._lease_path(key).exists()
 
 
 def _sqlite_writer(args):
@@ -378,9 +397,9 @@ class TestDistributedDrain:
         for thread in threads:
             thread.join()
 
-        # the plan was fully drained, with no duplicated simulation.
+        # the plan was fully drained, each distinct key simulated once.
         total = sum(r.simulated for r in reports.values())
-        assert total == len(plan.unique_cells)
+        assert total == len(QueueWorker(plan, open_cache(shared_url))._cells())
 
         # cache entries are byte-identical to the serial run's.
         serial = SqliteBackend(tmp_path / "serial.sqlite")
@@ -410,14 +429,14 @@ class TestDistributedDrain:
         # TTL and never finished.
         stale = QueueWorker(plan, cache, worker_id="crashed",
                             lease_ttl=60.0)
-        for key, _ in stale._payloads():
+        for key in stale._cells():
             assert cache.try_claim(key, "crashed", ttl=0.0) is not None
 
         worker = QueueWorker(plan, open_cache(url), worker_id="rescuer",
                              poll_interval=0.01, max_wait=60.0)
         report = worker.drain()
-        assert report.simulated == len(plan.unique_cells)
-        assert report.reissued == len(plan.unique_cells)
+        assert report.simulated == len(stale._cells())
+        assert report.reissued == len(stale._cells())
 
     def test_stuck_peer_lease_times_out(self, tmp_path):
         settings = ExperimentSettings.quick(num_cores=2, ops_per_thread=150,
@@ -426,7 +445,7 @@ class TestDistributedDrain:
         url = f"sqlite://{tmp_path}/q.sqlite"
         cache = open_cache(url)
         probe = QueueWorker(plan, cache, worker_id="probe")
-        key, _ = probe._payloads()[0]
+        key = next(iter(probe._cells()))
         # a live peer holds one cell and never finishes it.
         assert cache.try_claim(key, "wedged", ttl=3600.0) == "new"
 
@@ -435,4 +454,4 @@ class TestDistributedDrain:
         with pytest.raises(ReproError, match="wedged"):
             worker.drain()
         # everything not held was still completed.
-        assert worker.last_report.simulated == len(plan.unique_cells) - 1
+        assert worker.last_report.simulated == len(probe._cells()) - 1

@@ -177,6 +177,47 @@ class TestExecutor:
         assert executor.last_report.deduplicated == 1
         assert results[0] is results[1]
 
+    def test_aliases_simulated_once_per_key(self, tmp_path):
+        # "sc_alias" builds the very machine "sc" builds: one cache key.
+        registry = ConfigRegistry({"sc_alias": DEFAULT_REGISTRY.factory("sc")},
+                                  parent=DEFAULT_REGISTRY)
+        jobs = [Job("sc", "apache", 1), Job("invisi_sc", "apache", 1),
+                Job("sc_alias", "apache", 1)]
+        cache = ResultCache(tmp_path / "cache")
+        executor = CampaignExecutor(SETTINGS, cache=cache, registry=registry)
+        results = executor.run(jobs)
+        assert executor.last_report.simulated == 2
+        assert executor.last_report.deduplicated == 1
+        assert len(cache) == 2
+        assert results[2] is results[0]
+        assert results[1].config == make_config("invisi_sc", SETTINGS)
+
+    def test_interrupted_serial_run_keeps_finished_cells(self, tmp_path,
+                                                         monkeypatch):
+        import repro.campaign.executor as executor_module
+
+        real = executor_module.simulate
+        calls = []
+
+        def interrupt_after_two(*args, **kwargs):
+            if len(calls) == 2:
+                raise KeyboardInterrupt
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(executor_module, "simulate", interrupt_after_two)
+        with pytest.raises(KeyboardInterrupt):
+            CampaignExecutor(SETTINGS, cache=ResultCache(tmp_path / "cache")
+                             ).run(self.JOBS)
+        monkeypatch.setattr(executor_module, "simulate", real)
+
+        cache = ResultCache(tmp_path / "cache")
+        assert len(cache) == 2
+        rerun = CampaignExecutor(SETTINGS, cache=cache)
+        rerun.run(self.JOBS)
+        assert rerun.last_report.cache_hits == 2
+        assert rerun.last_report.simulated == len(self.JOBS) - 2
+
     def test_results_keep_input_order(self):
         executor = CampaignExecutor(SETTINGS, jobs=1)
         reordered = list(reversed(self.JOBS))

@@ -1,16 +1,14 @@
-"""Differential equivalence: the three engines must agree byte for byte.
+"""Differential equivalence: the two engines must agree byte for byte.
 
 The whole-stack kernel refactor (compiled traces, batched steps, typed
 events, allocation-free coherence hit path) is gated by one guarantee:
 ``simulate(..., engine="fast")`` and ``simulate(..., engine="reference")``
 produce *byte-identical* ``RunResult`` JSON -- every counter, every
-per-phase breakdown, every events-processed count.  The vectorized batch
-tier (``engine="batch"``) extends that guarantee: bulk-retired quiescent
-stretches commit exactly what the per-op kernel would have, at any lane
-width and for ragged-length lanes.  This suite asserts all of it across
-every built-in workload preset, every registered scenario, and the three
-controller kinds, plus warmup and rollback-heavy corners, and that
-campaign cache keys/entries are engine-independent.
+per-phase breakdown, every events-processed count.  This suite asserts it
+across every built-in workload preset, every registered scenario (at 2
+and 4 cores), and the four controller kinds, every ordering model on every workload,
+plus warmup, single-core and rollback-heavy corners, and that campaign
+cache keys/entries are engine-independent.
 """
 
 import pytest
@@ -18,7 +16,6 @@ import pytest
 from repro.campaign import Job, ResultCache
 from repro.campaign.cache import cache_key
 from repro.campaign.executor import CampaignExecutor
-from repro.engine.batch.lanes import simulate_batch
 from repro.engine.simulator import simulate
 from repro.engine.system import build_system
 from repro.errors import ConfigurationError
@@ -28,8 +25,12 @@ from repro.workloads.presets import workload_names
 from repro.workloads.registry import build_trace, resolve_spec
 
 #: one configuration per controller kind (conventional / selective /
-#: continuous speculation).
-CONTROLLER_CONFIGS = ("sc", "invisi_sc", "invisi_cont")
+#: continuous speculation / ASO).
+CONTROLLER_CONFIGS = ("sc", "invisi_sc", "invisi_cont", "aso_sc")
+
+#: the weaker ordering models, conventional and selectively speculative:
+#: their store buffers drain under different rules than SC's.
+MODEL_CONFIGS = ("tso", "rmo", "invisi_tso", "invisi_rmo")
 
 _CORES = 2
 _OPS = 300
@@ -68,7 +69,7 @@ class TestEngineSelection:
                 entry_point()
             message = str(excinfo.value)
             assert "turbo" in message
-            assert "fast|reference|batch" in message
+            assert "fast|reference" in message
 
     def test_simulate_rejects_unknown_engine_before_building(self):
         """Validation is eager: no partially wired system, no simulation."""
@@ -94,11 +95,33 @@ class TestEngineSelection:
         assert not ref_system.memory.fast
 
 
+#: (workload, cores): every preset and scenario at the suite's two cores,
+#: plus every scenario -- the contended corner: phase-spliced storms,
+#: handoffs, migratory sharing -- at four cores.
+IDENTITY_CELLS = ([pytest.param(w, _CORES, id=w) for w in ALL_WORKLOADS]
+                  + [pytest.param(w, 4, id=f"{w}-4c")
+                     for w in scenario_names()])
+
+
 @pytest.mark.parametrize("config_name", CONTROLLER_CONFIGS)
-@pytest.mark.parametrize("workload", ALL_WORKLOADS)
+@pytest.mark.parametrize("workload,cores", IDENTITY_CELLS)
 class TestByteIdenticalResults:
-    def test_run_results_byte_identical(self, config_name, workload):
+    def test_run_results_byte_identical(self, config_name, workload, cores):
         """Every preset and scenario, every controller kind."""
+        trace = build_trace(workload, num_threads=cores,
+                            ops_per_thread=_OPS, seed=3)
+        settings = ExperimentSettings(num_cores=cores, ops_per_thread=_OPS,
+                                      seeds=(3,), warmup_fraction=0.0)
+        config = make_config(config_name, settings)
+        fast, ref = _run_both(config, trace)
+        assert fast.to_json() == ref.to_json()
+
+
+@pytest.mark.parametrize("workload", ALL_WORKLOADS)
+@pytest.mark.parametrize("config_name", MODEL_CONFIGS)
+class TestOrderingModelsByteIdentical:
+    def test_run_results_byte_identical(self, config_name, workload):
+        """TSO / RMO, with and without speculation, on every workload."""
         trace = build_trace(workload, num_threads=_CORES,
                             ops_per_thread=_OPS, seed=3)
         config = make_config(config_name, _settings())
@@ -106,7 +129,7 @@ class TestByteIdenticalResults:
         assert fast.to_json() == ref.to_json()
 
 
-@pytest.mark.parametrize("config_name", CONTROLLER_CONFIGS)
+@pytest.mark.parametrize("config_name", CONTROLLER_CONFIGS + MODEL_CONFIGS)
 class TestEquivalenceCorners:
     def test_with_warmup_fraction(self, config_name):
         """Warmup resets counters mid-run; both paths must agree."""
@@ -131,6 +154,68 @@ class TestEquivalenceCorners:
                                 ops_per_thread=200, seed=seed)
             fast, ref = _run_both(config, trace)
             assert fast.to_json() == ref.to_json()
+
+    def test_single_core(self, config_name):
+        """A single core never sees remote coherence traffic."""
+        settings = ExperimentSettings(num_cores=1, ops_per_thread=600,
+                                      seeds=(3,), warmup_fraction=0.0)
+        trace = build_trace("barnes", num_threads=1,
+                            ops_per_thread=600, seed=3)
+        config = make_config(config_name, settings)
+        fast, ref = _run_both(config, trace)
+        assert fast.to_json() == ref.to_json()
+
+
+class TestSharerInvalidation:
+    def test_mid_run_directory_invalidation_of_spinning_sharer(self):
+        """A remote store invalidates a line another core keeps hitting.
+
+        Core 0 takes line 0 SHARED and then spins on it; core 1 wakes
+        later, reads the line and stores to it, so the directory
+        invalidates core 0's copy mid-run and core 0's next load misses.
+        The fast hit path must see the downgrade exactly when the
+        reference kernel does.
+        """
+        from repro.obs.recorder import TraceRecorder
+        from repro.trace.ops import compute, load, store
+        from repro.trace.trace import MultiThreadedTrace, Trace
+
+        spin = [load(0), compute(1)] * 120
+        # The intruder reads the line first so both cores hold it SHARED
+        # (a lone reader is tracked as an EXCLUSIVE owner, whose recall
+        # is a different directory path); its store then fans out a true
+        # sharer invalidation to the spinning core.
+        intruder = ([compute(40)] * 3 + [load(0)] + [compute(40)] * 3
+                    + [store(0)] + [compute(1)] * 20)
+        trace = MultiThreadedTrace(
+            [Trace(spin), Trace(intruder + [compute(1)] *
+                                (len(spin) - len(intruder)))],
+            name="sharer-invalidation")
+        settings = ExperimentSettings(num_cores=2,
+                                      ops_per_thread=len(spin),
+                                      seeds=(3,), warmup_fraction=0.0)
+        config = make_config("sc", settings)
+        recorder = TraceRecorder()
+        fast = simulate(config, trace, engine="fast", recorder=recorder)
+        ref = simulate(config, trace, engine="reference")
+        assert fast.to_json() == ref.to_json()
+        # Vacuous unless the directory really invalidated the sharer.
+        assert recorder.counters["coherence.invalidations"] > 0
+
+
+@pytest.mark.parametrize("config_name", ("sc", "rmo"))
+class TestRaggedThreads:
+    def test_ragged_length_threads(self, config_name):
+        """Threads of different lengths: cores retire while others run."""
+        from repro.trace.trace import MultiThreadedTrace
+
+        rows = [build_trace("apache", num_threads=_CORES,
+                            ops_per_thread=ops, seed=5)[i]
+                for i, ops in enumerate((60, 300))]
+        trace = MultiThreadedTrace(rows, name="ragged")
+        config = make_config(config_name, _settings())
+        fast, ref = _run_both(config, trace)
+        assert fast.to_json() == ref.to_json()
 
 
 class TestSpeculativeCountersMatch:
@@ -171,11 +256,43 @@ class TestCacheKeyStability:
         ref = simulate(make_config("invisi_sc", settings), trace,
                        warmup_fraction=settings.warmup_fraction,
                        engine="reference")
-        stored = cache.path_for(executor.key_for(job)).read_text(
+        key, _ = executor.resolve(job)
+        stored = cache.path_for(key).read_text(
             encoding="utf-8")
         assert fast_result.to_json() == ref.to_json()
         # On-disk cache bytes equal what a reference-path run would store.
         assert stored == ref.to_json()
+
+
+class TestCampaignEngineIndependence:
+    def test_reference_warmed_cache_serves_fast_engine(self, tmp_path):
+        """Entries written under reference are hits for fast, bytes equal."""
+        settings = _settings()
+        cache = ResultCache(tmp_path / "cache")
+        ref_exec = CampaignExecutor(settings, jobs=1, cache=cache,
+                                    engine="reference")
+        jobs = [Job("sc", "apache", 3), Job("sc", "barnes", 3),
+                Job("invisi_sc", "apache", 3)]
+        ref_results = ref_exec.run(jobs)
+        assert ref_exec.last_report.simulated == len(jobs)
+
+        fast_exec = CampaignExecutor(settings, jobs=1, cache=cache,
+                                     engine="fast")
+        fast_results = fast_exec.run(jobs)
+        assert fast_exec.last_report.simulated == 0
+        assert fast_exec.last_report.cache_hits == len(jobs)
+        for a, b in zip(ref_results, fast_results):
+            assert a.to_json() == b.to_json()
+
+    def test_serial_reference_campaign_matches_fast_campaign(self):
+        settings = _settings()
+        jobs = [Job(c, w, 3) for c in ("sc", "tso")
+                for w in ("apache", "ocean")]
+        ref = CampaignExecutor(settings, engine="reference").run(jobs)
+        fast = CampaignExecutor(settings, engine="fast").run(jobs)
+        assert len(ref) == len(fast) == len(jobs)
+        for a, b in zip(ref, fast):
+            assert a.to_json() == b.to_json()
 
 
 @pytest.mark.parametrize("config_name", CONTROLLER_CONFIGS)
@@ -207,212 +324,7 @@ class TestQueuedInterconnectEquivalence:
         assert config.interconnect.contention == "none"
 
 
-#: the conventional consistency models, where the batch tier's bulk path
-#: is actually eligible (speculative controllers fall back to pure-exact
-#: execution inside the same BatchCore).
-CONVENTIONAL_CONFIGS = ("sc", "tso", "rmo")
-
-
-def _batch_vs_fast(config, trace, warmup: float = 0.0):
-    fast = simulate(config, trace, warmup_fraction=warmup, engine="fast")
-    batch = simulate(config, trace, warmup_fraction=warmup, engine="batch")
-    return fast, batch
-
-
-@pytest.mark.parametrize("config_name", CONTROLLER_CONFIGS)
-@pytest.mark.parametrize("workload", ALL_WORKLOADS)
-class TestBatchByteIdenticalResults:
-    def test_batch_vs_fast_byte_identical(self, config_name, workload):
-        """Every preset and scenario, every controller kind."""
-        trace = build_trace(workload, num_threads=_CORES,
-                            ops_per_thread=_OPS, seed=3)
-        config = make_config(config_name, _settings())
-        fast, batch = _batch_vs_fast(config, trace)
-        assert fast.to_json() == batch.to_json()
-
-
-@pytest.mark.parametrize("config_name", CONVENTIONAL_CONFIGS)
-class TestBatchConventionalModels:
-    """SC / TSO / RMO take the bulk path; warmup splits stretches."""
-
-    def test_batch_vs_fast_with_warmup(self, config_name):
-        trace = build_trace("apache", num_threads=_CORES,
-                            ops_per_thread=_OPS, seed=7)
-        config = make_config(config_name, _settings(warmup=0.25))
-        fast, batch = _batch_vs_fast(config, trace, warmup=0.25)
-        assert fast.to_json() == batch.to_json()
-
-    def test_batch_vs_fast_scenario_phases(self, config_name):
-        """Phase boundaries must break stretches without losing cycles."""
-        trace = build_trace("false-sharing-storm", num_threads=_CORES,
-                            ops_per_thread=_OPS, seed=11)
-        config = make_config(config_name, _settings(warmup=0.2))
-        fast, batch = _batch_vs_fast(config, trace, warmup=0.2)
-        assert fast.to_json() == batch.to_json()
-
-    def test_batch_vs_fast_single_core(self, config_name):
-        """Single-core runs have an empty event heap (the longest stretches)."""
-        settings = ExperimentSettings(num_cores=1, ops_per_thread=600,
-                                      seeds=(3,), warmup_fraction=0.0)
-        trace = build_trace("barnes", num_threads=1,
-                            ops_per_thread=600, seed=3)
-        config = make_config(config_name, settings)
-        fast, batch = _batch_vs_fast(config, trace)
-        assert fast.to_json() == batch.to_json()
-
-
-@pytest.mark.parametrize("cores", (2, 4))
-@pytest.mark.parametrize("config_name", CONTROLLER_CONFIGS)
-@pytest.mark.parametrize("workload", tuple(scenario_names()))
-class TestMulticoreBatchByteIdentical:
-    """The coherence-epoch path: every scenario, both machine widths.
-
-    Scenarios are the contended corner (phase-spliced storms, handoffs,
-    migratory sharing), so this is where an unsound epoch bound -- one
-    that let a stretch run past another core's first coherence traffic --
-    would actually desynchronize the engines.
-    """
-
-    def test_batch_vs_fast_multicore(self, cores, config_name, workload):
-        trace = build_trace(workload, num_threads=cores,
-                            ops_per_thread=_OPS, seed=3)
-        settings = ExperimentSettings(num_cores=cores, ops_per_thread=_OPS,
-                                      seeds=(3,), warmup_fraction=0.0)
-        config = make_config(config_name, settings)
-        fast, batch = _batch_vs_fast(config, trace)
-        assert fast.to_json() == batch.to_json()
-
-
-class TestMirrorInvalidation:
-    def test_mid_run_directory_invalidation_of_mirrored_line(self):
-        """A sharer's store must invalidate the numpy residency mirror.
-
-        Core 0 takes line 0 SHARED and then spins on it in long quiescent
-        stretches, so the batch engine's residency mirror holds read
-        permission for the line.  Core 1 wakes later and stores to the
-        same line: the directory invalidates core 0's copy mid-run, the
-        state watcher must zero the mirror, and the epoch tracker's
-        generation bump must discard any cached horizon -- otherwise core
-        0's next stretch would bulk-retire loads the exact kernel serves
-        as misses.
-        """
-        from repro.obs.recorder import TraceRecorder
-        from repro.trace.ops import compute, load, store
-        from repro.trace.trace import MultiThreadedTrace, Trace
-
-        spin = [load(0), compute(1)] * 120
-        # The intruder reads the line first so both cores hold it SHARED
-        # (a lone reader is tracked as an EXCLUSIVE owner, whose recall
-        # is a different directory path); its store then fans out a true
-        # sharer invalidation to the spinning core.
-        intruder = ([compute(40)] * 3 + [load(0)] + [compute(40)] * 3
-                    + [store(0)] + [compute(1)] * 20)
-        trace = MultiThreadedTrace(
-            [Trace(spin), Trace(intruder + [compute(1)] *
-                                (len(spin) - len(intruder)))],
-            name="mirror-invalidation")
-        settings = ExperimentSettings(num_cores=2,
-                                      ops_per_thread=len(spin),
-                                      seeds=(3,), warmup_fraction=0.0)
-        config = make_config("sc", settings)
-        recorder = TraceRecorder()
-        batch = simulate(config, trace, engine="batch", recorder=recorder)
-        fast = simulate(config, trace, engine="fast")
-        assert batch.to_json() == fast.to_json()
-        # The test is vacuous unless the mirror was really exercised on
-        # both sides of the invalidation: stretches retired in bulk, the
-        # directory invalidated the sharer's copy mid-run, and the
-        # downgraded mirror then declined at least one spin stretch.
-        assert recorder.counters["batch.retired"] > 0
-        assert recorder.counters["coherence.invalidations"] > 0
-        assert recorder.counters["batch.decline.residency"] > 0
-
-
-@pytest.mark.parametrize("width", (1, 3, 8))
-class TestLaneWidthIndependence:
-    """A lane's width is a performance knob, never a results dimension."""
-
-    def test_lane_matches_per_cell_fast(self, width):
-        config = make_config("sc", _settings())
-        traces = [build_trace("apache", num_threads=_CORES,
-                              ops_per_thread=_OPS, seed=100 + i)
-                  for i in range(width)]
-        lane = simulate_batch(config, traces,
-                              warmup_fraction=0.0)
-        assert len(lane) == width
-        for trace, result in zip(traces, lane):
-            fast = simulate(config, trace, engine="fast")
-            assert result.to_json() == fast.to_json()
-
-    def test_lane_matches_width_one_lanes(self, width):
-        """Runs share only immutable tables: width-N == N times width-1."""
-        config = make_config("tso", _settings())
-        traces = [build_trace("ocean", num_threads=_CORES,
-                              ops_per_thread=200, seed=40 + i)
-                  for i in range(width)]
-        wide = simulate_batch(config, traces, warmup_fraction=0.1)
-        narrow = [simulate_batch(config, [trace], warmup_fraction=0.1)[0]
-                  for trace in traces]
-        for a, b in zip(wide, narrow):
-            assert a.to_json() == b.to_json()
-
-
-class TestRaggedLanes:
-    def test_ragged_length_traces_in_one_lane(self):
-        """Rows of different lengths stack against the lane-wide maximum."""
-        config = make_config("sc", _settings())
-        traces = [build_trace("apache", num_threads=_CORES,
-                              ops_per_thread=ops, seed=5)
-                  for ops in (60, 300, 137)]
-        lane = simulate_batch(config, traces, warmup_fraction=0.0)
-        for trace, result in zip(traces, lane):
-            fast = simulate(config, trace, engine="fast")
-            assert result.to_json() == fast.to_json()
-
-    def test_mixed_workloads_in_one_lane(self):
-        """A lane only requires a shared config, not a shared workload."""
-        config = make_config("rmo", _settings())
-        traces = [build_trace(name, num_threads=_CORES,
-                              ops_per_thread=_OPS, seed=9)
-                  for name in ("apache", "barnes", "ocean")]
-        lane = simulate_batch(config, traces, warmup_fraction=0.0)
-        for trace, result in zip(traces, lane):
-            fast = simulate(config, trace, engine="fast")
-            assert result.to_json() == fast.to_json()
-
-
-class TestBatchCampaignIntegration:
-    def test_batch_warmed_cache_serves_fast_engine(self, tmp_path):
-        """Cache entries written under batch are hits for fast, bytes equal."""
-        settings = _settings()
-        cache = ResultCache(tmp_path / "cache")
-        batch_exec = CampaignExecutor(settings, jobs=1, cache=cache,
-                                      engine="batch")
-        jobs = [Job("sc", "apache", 3), Job("sc", "barnes", 3),
-                Job("invisi_sc", "apache", 3)]
-        batch_results = batch_exec.run(jobs)
-        assert batch_exec.last_report.simulated == len(jobs)
-
-        fast_exec = CampaignExecutor(settings, jobs=1, cache=cache,
-                                     engine="fast")
-        fast_results = fast_exec.run(jobs)
-        assert fast_exec.last_report.simulated == 0
-        assert fast_exec.last_report.cache_hits == len(jobs)
-        for a, b in zip(batch_results, fast_results):
-            assert a.to_json() == b.to_json()
-
-    def test_serial_batch_campaign_matches_fast_campaign(self):
-        """The executor's lane grouping changes nothing observable."""
-        settings = _settings()
-        jobs = [Job(c, w, 3) for c in ("sc", "tso")
-                for w in ("apache", "ocean")]
-        batch = CampaignExecutor(settings, engine="batch").run(jobs)
-        fast = CampaignExecutor(settings, engine="fast").run(jobs)
-        for a, b in zip(batch, fast):
-            assert a.to_json() == b.to_json()
-
-
-@pytest.mark.parametrize("engine", ("fast", "reference", "batch"))
+@pytest.mark.parametrize("engine", ("fast", "reference"))
 @pytest.mark.parametrize("config_name", CONTROLLER_CONFIGS)
 class TestTelemetryInvariance:
     """Recording telemetry must never change what is simulated.

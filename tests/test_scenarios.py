@@ -454,7 +454,7 @@ class TestCampaignIntegration:
                                           seeds=(1,),
                                           workloads=("runtime-only",))
             executor = CampaignExecutor(settings, jobs=2)
-            payload = executor._payload(Job("sc", "runtime-only", 1))
+            _, payload = executor.resolve(Job("sc", "runtime-only", 1))
             assert isinstance(payload[1], ScenarioSpec)
             assert payload[1].total_ops_per_thread == 300
             results = executor.run([Job("sc", "runtime-only", 1)])

@@ -63,6 +63,19 @@ class TestPlanCompilation:
         with pytest.raises(StudyError):
             compile_plan([spec, spec], TINY)
 
+    def test_plan_simulates_each_alias_pair_once(self):
+        # ablation-sb's invisi_sc_sb8 builds the machine invisi_sc builds
+        # (the ablations always run apache).
+        settings = ExperimentSettings(num_cores=2, ops_per_thread=300,
+                                      seeds=(1,), workloads=("apache",))
+        plan = compile_plan([DEFAULT_STUDY_REGISTRY.get("figure10"),
+                             DEFAULT_STUDY_REGISTRY.get("ablation-sb")],
+                            settings)
+        assert len(plan.unique_cells) == 10
+        report = plan.execute(plan.runner())
+        assert report.simulated == 9
+        assert report.deduplicated == 1
+
     def test_plan_merges_extra_configs(self):
         plan = compile_plan([DEFAULT_STUDY_REGISTRY.get("ablation-sb"),
                              DEFAULT_STUDY_REGISTRY.get("ablation-cov")], TINY)

@@ -18,9 +18,8 @@ shapes:
     through a shared executor/cache -- the bulk entry point the CLI's
     ``study run`` and the service layer queue cold jobs through;
 :func:`open_cache`
-    a result cache from a ``dir://`` / ``sqlite://`` URL (with optional
-    ``?shards=N``), a bare path, or ``None`` for the default local
-    directory.
+    a result cache from a ``dir://`` / ``sqlite://`` URL, a bare path,
+    or ``None`` for the default local directory.
 
 Example::
 
@@ -39,7 +38,7 @@ Example::
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterable, Optional, Tuple, Union
 
 from .campaign.backends import CacheBackend
 from .campaign.cache import ResultCache, cache_key
@@ -69,8 +68,8 @@ def open_cache(cache: CacheLike = None) -> ResultCache:
     """Open (or pass through) a result cache.
 
     * ``None`` -- the default local directory (``results/cache/``);
-    * a string or path -- a cache URL (``dir://path``, ``sqlite://file``,
-      either with ``?shards=N``) or a bare directory path;
+    * a string or path -- a cache URL (``dir://path``,
+      ``sqlite://file``) or a bare directory path;
     * a :class:`~repro.campaign.backends.CacheBackend` -- wrapped;
     * a :class:`~repro.campaign.cache.ResultCache` -- returned unchanged.
     """

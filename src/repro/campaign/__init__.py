@@ -17,8 +17,8 @@ cross-product into an explicit *campaign*:
 * :mod:`~repro.campaign.cache` -- :class:`ResultCache`, a content-addressed
   result store so re-running a figure only simulates missing cells;
 * :mod:`~repro.campaign.backends` -- the pluggable storage behind the
-  cache: local directory, sqlite shard (concurrent-writer safe), or a
-  sharded composite, addressed by ``dir://`` / ``sqlite://`` URLs;
+  cache: a local directory or one sqlite file (concurrent-writer safe),
+  addressed by ``dir://`` / ``sqlite://`` URLs;
 * :mod:`~repro.campaign.versions` -- kernel-source fingerprints embedded
   in cache keys, so an engine refactor invalidates exactly the cells
   whose reachable sources changed;
@@ -34,13 +34,17 @@ sweeps (see the CLI's ``sweep`` subcommand).
 
 from .backends import (
     CacheBackend,
-    CacheStats,
     DirectoryBackend,
-    ShardedBackend,
     SqliteBackend,
     backend_from_url,
 )
-from .cache import DEFAULT_CACHE_DIR, DEFAULT_CACHE_URL, ResultCache, cache_key
+from .cache import (
+    DEFAULT_CACHE_DIR,
+    DEFAULT_CACHE_URL,
+    CacheStats,
+    ResultCache,
+    cache_key,
+)
 from .executor import CampaignExecutor, CampaignReport
 from .jobs import Job, dedupe_jobs, expand_jobs
 from .queue import QueueWorker, WorkerReport, default_worker_id
@@ -61,7 +65,6 @@ __all__ = [
     "Job",
     "QueueWorker",
     "ResultCache",
-    "ShardedBackend",
     "SqliteBackend",
     "WorkerReport",
     "backend_from_url",

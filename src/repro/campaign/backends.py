@@ -1,15 +1,12 @@
-"""Pluggable cache backends: local directory, sqlite shard, sharded composite.
+"""Pluggable cache backends: a local directory or one sqlite file.
 
 The campaign result store is split into a small *backend* protocol
 (:class:`CacheBackend`) so one campaign API serves every deployment shape:
 
 * :class:`DirectoryBackend` -- one JSON file per entry under a local
   directory (the original ``results/cache/`` layout, unchanged on disk);
-* :class:`SqliteBackend` -- one sqlite shard file in WAL mode, safe for
-  many concurrent reader and writer *processes* sharing a filesystem;
-* :class:`ShardedBackend` -- a composite routing each key to one of N
-  child backends by key prefix, so a large campaign's store splits
-  across directories, files, or disks.
+* :class:`SqliteBackend` -- one sqlite file in WAL mode, safe for many
+  concurrent reader and writer *processes* sharing a filesystem.
 
 Keys are content hashes (see :func:`~repro.campaign.cache.cache_key`), so
 entries are immutable once written: backends never need versioned
@@ -25,23 +22,23 @@ Completing a cell (:meth:`CacheBackend.put`) clears its lease.
 Backends are addressed by URL (:func:`backend_from_url`)::
 
     dir://results/cache             local directory (the default)
-    dir://results/cache?shards=4    4 directory shards, sharded composite
-    sqlite://results/cache.sqlite   one sqlite shard file
-    sqlite://cache.sqlite?shards=2  2 sqlite shard files
+    sqlite://results/cache.sqlite   one sqlite file
 
-A bare path with no scheme is a directory backend, so every pre-existing
-``--cache-dir`` value keeps meaning what it meant.
+A bare path with no scheme is a directory backend.  URLs take no query
+parameters.
 """
 
 from __future__ import annotations
 
-import dataclasses
+import contextlib
+import fcntl
 import json
 import os
 import sqlite3
+import threading
 import time
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from ..engine.results import RunResult
 from ..errors import ConfigurationError
@@ -69,59 +66,24 @@ def _retry_locked(fn, attempts: int = 6, delay: float = 0.05):
             time.sleep(delay * (attempt + 1))
 
 
-@dataclasses.dataclass(frozen=True)
-class CacheStats:
-    """Structured hit/miss/store tallies of one backend (or an aggregate)."""
-
-    hits: int = 0
-    misses: int = 0
-    stores: int = 0
-
-    def since(self, earlier: "CacheStats") -> "CacheStats":
-        """The delta accumulated after an ``earlier`` snapshot."""
-        return CacheStats(hits=self.hits - earlier.hits,
-                          misses=self.misses - earlier.misses,
-                          stores=self.stores - earlier.stores)
-
-    def plus(self, other: "CacheStats") -> "CacheStats":
-        return CacheStats(hits=self.hits + other.hits,
-                          misses=self.misses + other.misses,
-                          stores=self.stores + other.stores)
-
-
 class CacheBackend:
     """The storage protocol behind :class:`~repro.campaign.cache.ResultCache`.
 
     Implementations store serialized :class:`RunResult` entries under
-    content-addressed keys and keep their own lifetime hit/miss/store
-    tallies (:attr:`stats`), so composite backends can report per-shard
-    activity.  The lease methods implement distributed work claiming; a
-    backend that cannot coordinate writers may simply leave them
-    unsupported, but all three shipped backends implement them.
+    content-addressed keys; the hit/miss/store tallies live in the
+    :class:`~repro.campaign.cache.ResultCache` front-end.  The lease
+    methods implement distributed work claiming; a backend that cannot
+    coordinate writers may simply leave them unsupported, but both
+    shipped backends implement them.
     """
 
     #: short human label, e.g. ``dir:results/cache`` (set by subclasses).
     label: str = "backend"
 
-    def __init__(self) -> None:
-        self.hits = 0
-        self.misses = 0
-        self.stores = 0
-
-    @property
-    def stats(self) -> CacheStats:
-        """Lifetime tallies of this backend instance."""
-        return CacheStats(hits=self.hits, misses=self.misses,
-                          stores=self.stores)
-
-    def backend_stats(self) -> List[Tuple[str, CacheStats]]:
-        """Per-constituent (label, stats) pairs; one entry unless sharded."""
-        return [(self.label, self.stats)]
-
     # -- entries -------------------------------------------------------------
 
     def get(self, key: str) -> Optional[RunResult]:
-        """Load the entry for ``key`` or ``None``; tallies a hit or miss."""
+        """Load the entry for ``key``, or ``None`` if absent or unreadable."""
         raise NotImplementedError
 
     def put(self, key: str, result: RunResult) -> None:
@@ -176,15 +138,17 @@ class DirectoryBackend(CacheBackend):
     """One JSON file per entry under a local directory.
 
     This is the original ``ResultCache`` on-disk layout -- existing cache
-    directories are readable unchanged.  Leases are ``<key>.lease`` JSON
-    files created with ``O_EXCL`` (atomic on POSIX and NFSv4); takeover
-    of an expired lease goes through a tempfile + ``os.replace`` with a
-    read-back confirmation, so the worst race between two claimants is
-    one of them winning -- never both.
+    directories are readable unchanged.  Entries and ``<key>.lease`` JSON
+    records are written to a temporary file and renamed into place, so a
+    reader never sees half a file.  Every lease decision and lease write
+    runs under an exclusive ``flock`` on the directory's ``.lock`` file:
+    two claimants can never both win a key, and the kernel drops the lock
+    when its holder dies, so a killed worker cannot wedge its peers.
+    Sharing a directory between hosts needs a filesystem with working
+    file locks.
     """
 
     def __init__(self, root: Union[str, Path]) -> None:
-        super().__init__()
         self.root = Path(root)
         self.label = f"dir:{self.root}"
 
@@ -194,26 +158,31 @@ class DirectoryBackend(CacheBackend):
     def _lease_path(self, key: str) -> Path:
         return self.root / f"{key}.lease"
 
+    def _write(self, path: Path, text: str) -> None:
+        """Publish ``text`` at ``path`` atomically (tempfile + rename)."""
+        tmp = path.with_name(
+            f"{path.name}.tmp{os.getpid()}-{threading.get_ident()}")
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+
+    @contextlib.contextmanager
+    def _locked(self) -> Iterator[None]:
+        """Hold the directory's claim lock for the ``with`` block."""
+        self.root.mkdir(parents=True, exist_ok=True)
+        with open(self.root / ".lock", "a") as handle:
+            fcntl.flock(handle, fcntl.LOCK_EX)
+            yield  # closing the handle releases the lock
+
     def get(self, key: str) -> Optional[RunResult]:
         try:
             text = self.path_for(key).read_text(encoding="utf-8")
         except OSError:
-            self.misses += 1
             return None
-        result = _decode(text)
-        if result is None:
-            self.misses += 1
-            return None
-        self.hits += 1
-        return result
+        return _decode(text)
 
     def put(self, key: str, result: RunResult) -> None:
         self.root.mkdir(parents=True, exist_ok=True)
-        path = self.path_for(key)
-        tmp = path.with_name(path.name + f".tmp{os.getpid()}")
-        tmp.write_text(result.to_json(), encoding="utf-8")
-        os.replace(tmp, path)
-        self.stores += 1
+        self._write(self.path_for(key), result.to_json())
         self.release(key, owner="*")
 
     def contains(self, key: str) -> bool:
@@ -230,8 +199,9 @@ class DirectoryBackend(CacheBackend):
             for path in self.root.glob("*.json"):
                 path.unlink()
                 removed += 1
-            for path in self.root.glob("*.lease"):
-                path.unlink()
+            for pattern in ("*.lease", "*.tmp*"):
+                for path in self.root.glob(pattern):
+                    path.unlink()
         return removed
 
     # -- leases --------------------------------------------------------------
@@ -243,54 +213,27 @@ class DirectoryBackend(CacheBackend):
             return None
 
     def try_claim(self, key: str, owner: str, ttl: float) -> Optional[str]:
-        verdict = self._claim_lease(key, owner, ttl)
-        # put() writes the entry before it drops the lease, so a lease
-        # won here was either won before the entry appeared (the holder
-        # is still simulating) or after it: in that case the entry is
-        # visible now, and the lease just written is dropped again.
-        if verdict is not None and self.contains(key):
-            self.release(key, owner)
-            return "done"
-        return verdict
-
-    def _claim_lease(self, key: str, owner: str,
-                     ttl: float) -> Optional[str]:
-        self.root.mkdir(parents=True, exist_ok=True)
-        record = json.dumps({"owner": owner, "expires": time.time() + ttl})
-        path = self._lease_path(key)
-        try:
-            with open(path, "x", encoding="utf-8") as handle:
-                handle.write(record)
-            return "new"
-        except FileExistsError:
-            pass
-        lease = self._read_lease(key)
-        if lease is not None and lease.get("owner") == owner:
-            path.write_text(record, encoding="utf-8")  # refresh own lease
-            return "new"
-        if lease is not None and lease.get("expires", 0) > time.time():
-            return None
-        # Expired (or unreadable) lease: take it over.  os.replace is
-        # atomic, so between racing claimants exactly one record survives;
-        # the read-back decides who actually won.
-        tmp = path.with_name(path.name + f".tmp{os.getpid()}")
-        tmp.write_text(record, encoding="utf-8")
-        os.replace(tmp, path)
-        final = self._read_lease(key)
-        if final is not None and final.get("owner") == owner:
-            return "expired"
-        return None
+        with self._locked():
+            if self.contains(key):
+                # a lease left by a put that died before dropping it.
+                self._lease_path(key).unlink(missing_ok=True)
+                return "done"
+            lease = self._read_lease(key)
+            if lease is None or lease.get("owner") == owner:
+                verdict = "new"  # unclaimed, or a refresh of our own lease
+            elif lease.get("expires", 0) > time.time():
+                return None
+            else:
+                verdict = "expired"
+            self._write(self._lease_path(key), json.dumps(
+                {"owner": owner, "expires": time.time() + ttl}))
+            return verdict
 
     def release(self, key: str, owner: str) -> None:
-        lease = self._read_lease(key)
-        if lease is None:
-            return
-        if owner != "*" and lease.get("owner") != owner:
-            return
-        try:
-            self._lease_path(key).unlink()
-        except OSError:
-            pass
+        with self._locked():
+            lease = self._read_lease(key)
+            if lease is not None and owner in ("*", lease.get("owner")):
+                self._lease_path(key).unlink(missing_ok=True)
 
     def lease_owner(self, key: str) -> Optional[str]:
         lease = self._read_lease(key)
@@ -300,7 +243,7 @@ class DirectoryBackend(CacheBackend):
 
 
 class SqliteBackend(CacheBackend):
-    """One sqlite shard file, safe for concurrent writer processes.
+    """One sqlite file, safe for concurrent writer processes.
 
     WAL journaling lets readers proceed under a writer; every mutation is
     a single transaction, and lease claiming runs under ``BEGIN
@@ -311,7 +254,6 @@ class SqliteBackend(CacheBackend):
     """
 
     def __init__(self, path: Union[str, Path], timeout: float = 30.0) -> None:
-        super().__init__()
         self.path = Path(path)
         self.timeout = timeout
         self.label = f"sqlite:{self.path}"
@@ -349,12 +291,7 @@ class SqliteBackend(CacheBackend):
     def get(self, key: str) -> Optional[RunResult]:
         row = self._connect().execute(
             "SELECT body FROM entries WHERE key = ?", (key,)).fetchone()
-        result = _decode(row[0]) if row is not None else None
-        if result is None:
-            self.misses += 1
-            return None
-        self.hits += 1
-        return result
+        return _decode(row[0]) if row is not None else None
 
     def put(self, key: str, result: RunResult) -> None:
         conn = self._connect()
@@ -368,7 +305,6 @@ class SqliteBackend(CacheBackend):
         except BaseException:
             conn.execute("ROLLBACK")
             raise
-        self.stores += 1
 
     def contains(self, key: str) -> bool:
         row = self._connect().execute(
@@ -447,119 +383,37 @@ class SqliteBackend(CacheBackend):
         return row[0]
 
 
-class ShardedBackend(CacheBackend):
-    """Routes each key to one of N child backends by key prefix.
+def _parse_url(url: str) -> Tuple[str, str, List[str]]:
+    """Split ``scheme://path?query`` into (scheme, path, parameter names).
 
-    The shard index is the key's leading 32 hash bits modulo the shard
-    count -- deterministic, uniform for SHA-256 keys, and independent of
-    insertion order, so any process that opens the same shard list sees
-    every entry where it expects it.  Stats aggregate across shards;
-    :meth:`backend_stats` exposes the per-shard split.
+    Done by hand, without urllib's path mangling.
     """
-
-    def __init__(self, shards: Sequence[CacheBackend]) -> None:
-        super().__init__()
-        if not shards:
-            raise ConfigurationError("a sharded backend needs >= 1 shard")
-        self.shards = list(shards)
-        self.label = f"sharded[{len(self.shards)}]"
-
-    def shard_for(self, key: str) -> CacheBackend:
-        try:
-            index = int(key[:8], 16) % len(self.shards)
-        except ValueError:
-            raise ConfigurationError(
-                f"cache key {key!r} is not content-addressed (hex)")
-        return self.shards[index]
-
-    @property
-    def stats(self) -> CacheStats:
-        total = CacheStats()
-        for shard in self.shards:
-            total = total.plus(shard.stats)
-        return total
-
-    def backend_stats(self) -> List[Tuple[str, CacheStats]]:
-        return [(shard.label, shard.stats) for shard in self.shards]
-
-    def get(self, key: str) -> Optional[RunResult]:
-        return self.shard_for(key).get(key)
-
-    def put(self, key: str, result: RunResult) -> None:
-        self.shard_for(key).put(key, result)
-
-    def contains(self, key: str) -> bool:
-        return self.shard_for(key).contains(key)
-
-    def __len__(self) -> int:
-        return sum(len(shard) for shard in self.shards)
-
-    def clear(self) -> int:
-        return sum(shard.clear() for shard in self.shards)
-
-    def try_claim(self, key: str, owner: str, ttl: float) -> Optional[str]:
-        return self.shard_for(key).try_claim(key, owner, ttl)
-
-    def release(self, key: str, owner: str) -> None:
-        self.shard_for(key).release(key, owner)
-
-    def lease_owner(self, key: str) -> Optional[str]:
-        return self.shard_for(key).lease_owner(key)
-
-
-def _parse_url(url: str) -> Tuple[str, str, Dict[str, str]]:
-    """Split ``scheme://path?query`` without urllib's path mangling."""
     if "://" in url:
         scheme, rest = url.split("://", 1)
     else:
         scheme, rest = "dir", url
-    query: Dict[str, str] = {}
-    if "?" in rest:
-        rest, raw = rest.split("?", 1)
-        for item in raw.split("&"):
-            if not item:
-                continue
-            name, _, value = item.partition("=")
-            query[name] = value
+    rest, _, query = rest.partition("?")
     if not rest:
         raise ConfigurationError(f"cache URL {url!r} has an empty path")
-    return scheme, rest, query
-
-
-def _shard_count(url: str, query: Dict[str, str]) -> int:
-    raw = query.pop("shards", "1")
-    try:
-        shards = int(raw)
-    except ValueError:
-        shards = 0
-    if shards < 1:
-        raise ConfigurationError(
-            f"cache URL {url!r}: shards must be a positive integer")
-    if query:
-        raise ConfigurationError(
-            f"cache URL {url!r}: unknown parameter "
-            f"{', '.join(sorted(query))} (only 'shards' is recognized)")
-    return shards
+    names = sorted({item.partition("=")[0]
+                    for item in query.split("&") if item})
+    return scheme, rest, names
 
 
 def backend_from_url(url: Union[str, Path]) -> CacheBackend:
     """Open the backend a cache URL names (see the module docstring).
 
-    A bare path (no ``scheme://``) opens a :class:`DirectoryBackend`, so
-    anything that used to be a valid ``--cache-dir`` is a valid URL.
+    A bare path (no ``scheme://``) opens a :class:`DirectoryBackend`.
     """
-    scheme, path, query = _parse_url(str(url))
-    shards = _shard_count(str(url), query)
+    scheme, path, params = _parse_url(str(url))
+    if params:
+        raise ConfigurationError(
+            f"cache URL {url!r}: unknown parameter {', '.join(params)} "
+            f"(cache URLs take no parameters)")
     if scheme == "dir":
-        if shards == 1:
-            return DirectoryBackend(path)
-        return ShardedBackend([DirectoryBackend(Path(path) / f"shard{i}")
-                               for i in range(shards)])
+        return DirectoryBackend(path)
     if scheme == "sqlite":
-        if shards == 1:
-            return SqliteBackend(path)
-        return ShardedBackend([SqliteBackend(f"{path}.shard{i}")
-                               for i in range(shards)])
+        return SqliteBackend(path)
     raise ConfigurationError(
         f"unknown cache URL scheme {scheme!r} in {url!r} "
         f"(known: dir://, sqlite://)")

@@ -13,9 +13,8 @@ no invalidation logic to get wrong, and a refactor only cold-starts the
 cells whose reachable sources actually changed.
 
 Storage is a :class:`~repro.campaign.backends.CacheBackend`: the local
-directory of JSON files (the default, layout unchanged since PR 1), a
-sqlite shard file safe for concurrent writer processes, or a sharded
-composite of either -- see :func:`~repro.campaign.backends.backend_from_url`
+directory of JSON files (the default) or one sqlite file safe for
+concurrent writer processes -- see :func:`~repro.campaign.backends.backend_from_url`
 for the ``dir://`` / ``sqlite://`` URL forms and
 :func:`repro.api.open_cache` for the blessed opener.
 """
@@ -26,17 +25,12 @@ import dataclasses
 import hashlib
 import json
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, Mapping, Optional, Union
 
 from ..engine.results import RESULT_SCHEMA_VERSION, RunResult
 from ..config import SystemConfig
 from ..errors import ConfigurationError
-from .backends import (
-    CacheBackend,
-    CacheStats,
-    DirectoryBackend,
-    backend_from_url,
-)
+from .backends import CacheBackend, DirectoryBackend, backend_from_url
 from .versions import kernel_versions
 
 __all__ = [
@@ -52,6 +46,26 @@ DEFAULT_CACHE_DIR = Path("results") / "cache"
 
 #: The same default, spelled as a cache URL.
 DEFAULT_CACHE_URL = f"dir://{DEFAULT_CACHE_DIR}"
+
+
+@dataclasses.dataclass(frozen=True)
+class CacheStats:
+    """Structured hit/miss/store tallies of a :class:`ResultCache`."""
+
+    hits: int = 0
+    misses: int = 0
+    stores: int = 0
+
+    def since(self, earlier: "CacheStats") -> "CacheStats":
+        """The delta accumulated after an ``earlier`` snapshot."""
+        return CacheStats(hits=self.hits - earlier.hits,
+                          misses=self.misses - earlier.misses,
+                          stores=self.stores - earlier.stores)
+
+    def plus(self, other: "CacheStats") -> "CacheStats":
+        return CacheStats(hits=self.hits + other.hits,
+                          misses=self.misses + other.misses,
+                          stores=self.stores + other.stores)
 
 
 def cache_key(config: SystemConfig, spec, seed: int,
@@ -85,10 +99,9 @@ class ResultCache:
 
     ``ResultCache(root)`` keeps its historical meaning -- a local
     directory of JSON entries; pass ``backend=`` (any
-    :class:`CacheBackend`) or use :meth:`from_url` for sqlite and sharded
-    stores.  The cache keeps its own hit/miss/store tallies (what *this*
-    front-end observed) while the backend keeps per-shard lifetime
-    tallies for reporting.
+    :class:`CacheBackend`) or use :meth:`from_url` for a sqlite store.
+    The hit/miss/store tallies (:attr:`stats`) are kept here, in the
+    front-end, and count what *this* instance observed.
     """
 
     def __init__(self, root: Union[str, Path] = DEFAULT_CACHE_DIR,
@@ -109,15 +122,6 @@ class ResultCache:
         """Snapshot of this front-end's lifetime tallies."""
         return CacheStats(hits=self.hits, misses=self.misses,
                           stores=self.stores)
-
-    def backend_stats(self) -> List[Tuple[str, CacheStats]]:
-        """Per-backend (label, lifetime stats); one entry unless sharded."""
-        return self.backend.backend_stats()
-
-    @property
-    def sharded(self) -> bool:
-        """Whether more than one constituent backend is active."""
-        return len(self.backend.backend_stats()) > 1
 
     def describe(self) -> str:
         """Short location label (the backend's, e.g. ``dir:results/cache``)."""

@@ -106,26 +106,13 @@ class CampaignReport:
     deduplicated: int = 0
     #: cache tallies accumulated by this run (``None`` without a cache).
     cache_stats: Optional[CacheStats] = None
-    #: per-backend (label, tallies) deltas for this run; more than one
-    #: entry when a sharded backend is active.
-    backend_stats: Optional[List[Tuple[str, CacheStats]]] = None
 
     def describe(self, cache: Optional[ResultCache] = None) -> str:
-        """One-line human summary (shared by the CLI and scripts).
-
-        With a sharded backend the cache tallies are broken out per
-        shard -- a single aggregate would hide a misrouted or empty
-        shard entirely.
-        """
+        """One-line human summary (shared by the CLI and scripts)."""
         where = "no cache" if cache is None else cache.describe()
         line = f"{self.simulated} simulated, {self.cache_hits} cache hits ({where})"
         if self.cache_stats is not None:
             line += f", {self.cache_stats.stores} stored"
-        if self.backend_stats is not None and len(self.backend_stats) > 1:
-            shards = "; ".join(
-                f"{label}: {stats.hits} hits/{stats.stores} stored"
-                for label, stats in self.backend_stats)
-            line += f" [{shards}]"
         return line
 
     def merge(self, other: "CampaignReport") -> None:
@@ -137,15 +124,6 @@ class CampaignReport:
         if other.cache_stats is not None:
             self.cache_stats = other.cache_stats if self.cache_stats is None \
                 else self.cache_stats.plus(other.cache_stats)
-        if other.backend_stats is not None:
-            if self.backend_stats is None:
-                self.backend_stats = list(other.backend_stats)
-            else:
-                merged = dict(self.backend_stats)
-                for label, stats in other.backend_stats:
-                    merged[label] = merged[label].plus(stats) \
-                        if label in merged else stats
-                self.backend_stats = list(merged.items())
 
 
 class CampaignExecutor:
@@ -227,8 +205,6 @@ class CampaignExecutor:
         jobs = list(jobs)
         rec = self.recorder
         cache_before = self.cache.stats if self.cache is not None else None
-        backends_before = dict(self.cache.backend_stats()) \
-            if self.cache is not None else None
 
         keys: Dict[Job, str] = {}
         #: key -> (first job with that key, its payload), in input order.
@@ -259,18 +235,16 @@ class CampaignExecutor:
 
         if self.cache is not None:
             report.cache_stats = self.cache.stats.since(cache_before)
-            report.backend_stats = [
-                (label, stats.since(backends_before.get(label, CacheStats())))
-                for label, stats in self.cache.backend_stats()]
         if rec is not None:
             rec.count("campaign.jobs", report.total)
             rec.count("campaign.simulated", report.simulated)
             rec.count("campaign.cache_hits", report.cache_hits)
             rec.count("campaign.deduplicated", report.deduplicated)
-            for label, stats in report.backend_stats or ():
-                rec.count(f"cache.{label}.hits", stats.hits)
-                rec.count(f"cache.{label}.misses", stats.misses)
-                rec.count(f"cache.{label}.stores", stats.stores)
+            if report.cache_stats is not None:
+                label = self.cache.describe()
+                rec.count(f"cache.{label}.hits", report.cache_stats.hits)
+                rec.count(f"cache.{label}.misses", report.cache_stats.misses)
+                rec.count(f"cache.{label}.stores", report.cache_stats.stores)
         self.last_report = report
         return [results[keys[job]] for job in jobs]
 

@@ -17,7 +17,7 @@ Two factory helpers are provided:
 
 * :func:`paper_config` -- the full Figure 6 system.
 * :func:`small_config` -- a scaled-down system (fewer cores, smaller caches,
-  shorter latencies) used by the test suite and the quick benchmark presets
+  shorter latencies) used by the test suite and the quick experiment presets
   so that runs finish in seconds while preserving the latency *ratios* that
   drive the paper's effects.
 """
@@ -448,7 +448,7 @@ def small_config(
     num_cores: int = 4,
     interconnect: Optional[InterconnectConfig] = None,
 ) -> SystemConfig:
-    """A scaled-down system for tests and quick benchmark runs.
+    """A scaled-down system for tests and quick runs.
 
     Latency ratios (L1 : L2 : memory : hop) follow the paper; absolute
     values and cache sizes are reduced so that small synthetic traces

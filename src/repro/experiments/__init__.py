@@ -5,8 +5,7 @@ machine configurations through the simulator, and returns a result object
 whose ``format()`` method prints the same rows/series the paper's figure
 plots.  ``ExperimentSettings`` controls the scale (cores, trace length,
 seeds); the defaults reproduce the full 16-core setup, while
-``ExperimentSettings.quick()`` is used by the test-suite and the benchmark
-harness.
+``ExperimentSettings.quick()`` is used by the test-suite and smoke runs.
 """
 
 # Import order fixes the study registry's presentation order: figures,

@@ -1,7 +1,7 @@
 """Shared experiment machinery: configurations, settings, and a cached runner.
 
 The machine configurations evaluated by the paper are referred to by short
-names throughout the experiment drivers and benchmarks:
+names throughout the experiment drivers and tests:
 
 ==================  =========================================================
 name                meaning
@@ -90,7 +90,7 @@ class ExperimentSettings:
     def quick(cls, num_cores: int = 8, ops_per_thread: int = 4_000,
               workloads: Optional[Sequence[str]] = None,
               seeds: Sequence[int] = (1,)) -> "ExperimentSettings":
-        """A scaled-down setup for tests and the benchmark harness."""
+        """A scaled-down setup for tests and smoke runs."""
         return cls(num_cores=num_cores, ops_per_thread=ops_per_thread,
                    seeds=tuple(seeds),
                    workloads=tuple(workloads) if workloads is not None
@@ -157,7 +157,6 @@ class ExperimentRunner:
             report.cache_hits = tally.cache_hits
             report.deduplicated += tally.deduplicated
             report.cache_stats = tally.cache_stats
-            report.backend_stats = tally.backend_stats
         self.last_report = report
         return [self._results[(job.config_name, job.workload, job.seed)]
                 for job in jobs]

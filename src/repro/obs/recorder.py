@@ -5,7 +5,7 @@ the simulator holds a *recorder slot* that is either ``None`` (telemetry
 off -- the default everywhere) or an enabled recorder.  Hook sites guard
 their work behind a single ``if rec is not None`` so the fast and
 reference hot paths pay exactly one pointer comparison when telemetry is
-off; the bench harness gates that cost at <= 2% of kernel throughput.
+off.
 
 Three event kinds exist, mirroring the Chrome trace-event model the
 exporter targets:

@@ -1,6 +1,6 @@
 """Plain-text tables for experiment output.
 
-The benchmark harness has no plotting dependency, so every figure is
+The experiment layer has no plotting dependency, so every figure is
 regenerated as a text table whose rows/columns mirror the figure's bars and
 series.  These formatting helpers keep that output consistent.
 """

@@ -1,9 +1,5 @@
 """The public API facade and the unified campaign CLI flags."""
 
-import json
-
-import pytest
-
 import repro
 import repro.api
 from repro import (
@@ -16,9 +12,8 @@ from repro import (
     simulate,
     small_config,
 )
-from repro.campaign import ResultCache, ShardedBackend, SqliteBackend
+from repro.campaign import ResultCache, SqliteBackend
 from repro.cli import main
-from repro.errors import ReproError
 from repro.experiments.common import ExperimentSettings
 
 QUICK = ExperimentSettings.quick(num_cores=2, ops_per_thread=200,
@@ -47,9 +42,6 @@ class TestOpenCache:
             f"dir:{tmp_path}/c"
         assert open_cache(f"sqlite://{tmp_path}/c.sqlite").describe() == \
             f"sqlite:{tmp_path}/c.sqlite"
-        assert open_cache(
-            f"sqlite://{tmp_path}/c.sqlite?shards=2").describe() == \
-            "sharded[2]"
 
     def test_passthrough(self, tmp_path):
         cache = ResultCache(tmp_path / "c")
@@ -142,7 +134,7 @@ class TestUnifiedCliFlags:
                                              "--engine", "fast",
                                              "--telemetry"])
             assert args.jobs == 2 and args.no_cache and args.telemetry
-            assert args.cache is None and args.cache_dir is None
+            assert args.cache is None
 
     def test_cache_url_flag_sqlite(self, tmp_path, capsys):
         url = f"sqlite://{tmp_path}/c.sqlite"
@@ -152,20 +144,6 @@ class TestUnifiedCliFlags:
         out = capsys.readouterr().out
         assert "0 simulated, 2 cache hits" in out
         assert f"sqlite:{tmp_path}/c.sqlite" in out
-
-    def test_cache_dir_flag_is_a_deprecated_alias(self, tmp_path, capsys):
-        path = str(tmp_path / "cache")
-        assert main(["sweep", "--quick", "--cache-dir", path]) == 0
-        out = capsys.readouterr().out
-        assert "--cache-dir is deprecated" in out
-        assert main(["sweep", "--quick", "--cache", path]) == 0
-        out = capsys.readouterr().out
-        assert "0 simulated, 2 cache hits" in out
-
-    def test_cache_and_cache_dir_together_rejected(self, tmp_path):
-        assert main(["sweep", "--quick",
-                     "--cache", str(tmp_path / "a"),
-                     "--cache-dir", str(tmp_path / "b")]) == 2
 
     def test_worker_requires_a_cache(self):
         assert main(["worker", "figure1", "--quick", "--no-cache"]) == 2
@@ -180,10 +158,3 @@ class TestUnifiedCliFlags:
                      "--out-dir", str(tmp_path / "out")]) == 0
         out = capsys.readouterr().out
         assert "0 simulated, 6 cache hits" in out
-
-    def test_sharded_cache_reports_per_backend_stats(self, tmp_path, capsys):
-        url = f"dir://{tmp_path}/cache?shards=2"
-        assert main(["sweep", "--quick", "--cache", url]) == 0
-        out = capsys.readouterr().out
-        assert "sharded[2]" in out
-        assert "shard0" in out and "shard1" in out

@@ -1,27 +1,31 @@
-"""Backend conformance, lease claiming, sharding, kernel-hash invalidation.
+"""Backend conformance, lease claiming, kernel-hash invalidation.
 
 One parameterized suite runs every :class:`CacheBackend` implementation
 through the same contract (round-trip, stats, leases), then backend-
-specific tests pin the concurrent-writer safety of the sqlite shard, the
-deterministic key routing of the sharded composite, the URL grammar, the
-kernel-source invalidation scoping, and the byte-identity of a study
-drained by two cooperating workers versus a serial run.
+specific tests pin the concurrent-writer safety of the sqlite file, the
+URL grammar, the kernel-source invalidation scoping, the byte-identity
+of a study drained by racing workers versus a serial run, and recovery
+from a worker process killed mid-cell or mid-write.
 """
 
 import json
 import multiprocessing
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
-from repro import compile_study_plan, open_cache
+import repro
+from repro import compile_study_plan, execute_plan, open_cache
 from repro.campaign import (
     CampaignExecutor,
     CacheStats,
     DirectoryBackend,
     QueueWorker,
     ResultCache,
-    ShardedBackend,
     SqliteBackend,
     backend_from_url,
     cache_key,
@@ -43,7 +47,7 @@ from repro.workloads.registry import build_trace, resolve_spec
 SETTINGS = ExperimentSettings.quick(num_cores=2, ops_per_thread=200,
                                     workloads=("apache",))
 
-#: hex keys routed to different shards of a 3-way composite.
+#: distinct content-hash-shaped keys.
 KEYS = ["%08x%s" % (n, "ab" * 28) for n in range(9)]
 
 
@@ -61,14 +65,7 @@ def _sqlite_backend(tmp):
     return SqliteBackend(tmp / "store.sqlite")
 
 
-def _sharded_backend(tmp):
-    return ShardedBackend([DirectoryBackend(tmp / "shard0"),
-                           SqliteBackend(tmp / "shard1.sqlite"),
-                           DirectoryBackend(tmp / "shard2")])
-
-
-BACKENDS = {"dir": _dir_backend, "sqlite": _sqlite_backend,
-            "sharded": _sharded_backend}
+BACKENDS = {"dir": _dir_backend, "sqlite": _sqlite_backend}
 
 
 @pytest.fixture(params=sorted(BACKENDS))
@@ -91,19 +88,19 @@ class TestBackendConformance:
         assert len(backend) == 1
 
     def test_stats_tally_hits_misses_stores(self, backend, tiny_result):
-        backend.get(KEYS[0])
-        backend.put(KEYS[0], tiny_result)
-        backend.get(KEYS[0])
-        backend.get(KEYS[1])
-        assert backend.stats == CacheStats(hits=1, misses=2, stores=1)
+        cache = ResultCache(backend=backend)
+        cache.get(KEYS[0])
+        cache.put(KEYS[0], tiny_result)
+        cache.get(KEYS[0])
+        cache.get(KEYS[1])
+        assert cache.stats == CacheStats(hits=1, misses=2, stores=1)
 
-    def test_backend_stats_shape(self, backend):
-        entries = backend.backend_stats()
-        expected = len(backend.shards) if isinstance(backend, ShardedBackend) \
-            else 1
-        assert len(entries) == expected
-        for label, stats in entries:
-            assert isinstance(label, str) and isinstance(stats, CacheStats)
+    def test_label_names_scheme_and_location(self, backend):
+        # recorder counters are named cache.<label>.{hits,misses,stores}.
+        scheme, _, location = backend.label.partition(":")
+        assert scheme in BACKENDS
+        assert location.startswith(str(backend.root if scheme == "dir"
+                                       else backend.path))
 
     def test_clear_removes_everything(self, backend, tiny_result):
         for key in KEYS[:3]:
@@ -164,8 +161,9 @@ class TestDirectoryBackend:
         backend = DirectoryBackend(tmp_path / "cache")
         backend.put(KEYS[0], tiny_result)
         backend.path_for(KEYS[0]).write_text("{not json", encoding="utf-8")
-        assert backend.get(KEYS[0]) is None
-        assert backend.stats.misses == 1
+        cache = ResultCache(backend=backend)
+        assert cache.get(KEYS[0]) is None
+        assert cache.stats.misses == 1
 
     def test_stale_lease_on_a_stored_key_is_done(self, tmp_path,
                                                  tiny_result):
@@ -182,17 +180,17 @@ class TestDirectoryBackend:
 
 def _sqlite_writer(args):
     path, text, start = args
-    backend = SqliteBackend(path)
+    cache = ResultCache(backend=SqliteBackend(path))
     result = RunResult.from_json(text)
     for n in range(start, start + 10):
-        backend.put("%064x" % n, result)
-    backend.put("f" * 64, result)  # every writer races on this one
-    return backend.stats.stores
+        cache.put("%064x" % n, result)
+    cache.put("f" * 64, result)  # every writer races on this one
+    return cache.stats.stores
 
 
 class TestSqliteBackend:
     def test_concurrent_writer_processes(self, tmp_path, tiny_result):
-        """Four processes writing one shard file: no corruption, no loss."""
+        """Four processes writing one sqlite file: no corruption, no loss."""
         path = tmp_path / "shared.sqlite"
         text = tiny_result.to_json()
         with multiprocessing.Pool(4) as pool:
@@ -212,39 +210,6 @@ class TestSqliteBackend:
         assert reopened.get(KEYS[0]).to_dict() == tiny_result.to_dict()
 
 
-class TestShardedBackend:
-    def test_routing_is_deterministic_and_total(self, tmp_path, tiny_result):
-        backend = _sharded_backend(tmp_path)
-        for key in KEYS:
-            backend.put(key, tiny_result)
-        assert len(backend) == len(KEYS)
-        # each key lives in exactly the shard the router names.
-        for key in KEYS:
-            owner = backend.shard_for(key)
-            assert owner.contains(key)
-            assert sum(shard.contains(key)
-                       for shard in backend.shards) == 1
-        # a fresh composite over the same stores finds every entry.
-        reopened = _sharded_backend(tmp_path)
-        for key in KEYS:
-            assert reopened.get(key).to_dict() == tiny_result.to_dict()
-
-    def test_keys_spread_across_shards(self, tmp_path, tiny_result):
-        backend = _sharded_backend(tmp_path)
-        for key in KEYS:
-            backend.put(key, tiny_result)
-        assert all(len(shard) > 0 for shard in backend.shards)
-
-    def test_non_hex_key_rejected(self, tmp_path):
-        backend = _sharded_backend(tmp_path)
-        with pytest.raises(ConfigurationError):
-            backend.shard_for("not-a-content-hash")
-
-    def test_empty_shard_list_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ShardedBackend([])
-
-
 class TestBackendUrls:
     def test_bare_path_is_a_directory_backend(self, tmp_path):
         backend = backend_from_url(tmp_path / "cache")
@@ -259,23 +224,18 @@ class TestBackendUrls:
         backend = backend_from_url(f"sqlite://{tmp_path}/c.sqlite")
         assert isinstance(backend, SqliteBackend)
 
-    def test_sharded_urls(self, tmp_path):
-        for url, inner in ((f"dir://{tmp_path}/c?shards=3", DirectoryBackend),
-                           (f"sqlite://{tmp_path}/c.sqlite?shards=3",
-                            SqliteBackend)):
-            backend = backend_from_url(url)
-            assert isinstance(backend, ShardedBackend)
-            assert len(backend.shards) == 3
-            assert all(isinstance(shard, inner) for shard in backend.shards)
-
     def test_bad_urls_rejected(self, tmp_path):
         for url in ("redis://somewhere/cache",
-                    f"dir://{tmp_path}/c?shards=0",
-                    f"dir://{tmp_path}/c?shards=many",
                     f"dir://{tmp_path}/c?mode=fast",
                     "dir://"):
             with pytest.raises(ConfigurationError):
                 backend_from_url(url)
+
+    @pytest.mark.parametrize("scheme", ["dir", "sqlite"])
+    def test_shards_parameter_is_unknown(self, tmp_path, scheme):
+        url = f"{scheme}://{tmp_path}/c?shards=2"
+        with pytest.raises(ConfigurationError, match="unknown parameter shards"):
+            backend_from_url(url)
 
 
 @pytest.fixture()
@@ -367,6 +327,109 @@ def _drain(plan, url, worker_id, reports):
     reports[worker_id] = worker.drain()
 
 
+def _race(plan, url, worker_ids):
+    """Drain ``plan`` into ``url`` with one thread per worker id."""
+    reports = {}
+    threads = [threading.Thread(target=_drain,
+                                args=(plan, url, wid, reports))
+               for wid in worker_ids]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=120)
+    assert not any(thread.is_alive() for thread in threads)
+    assert sorted(reports) == sorted(worker_ids)  # none of them raised
+    return reports
+
+
+#: the plan the race tests drain: figure8 at 2 cores, 12 cells.
+RACE_SETTINGS = ExperimentSettings.quick(num_cores=2, ops_per_thread=200,
+                                         workloads=("apache", "barnes"))
+
+
+def _entries(url):
+    """Key -> stored body of every entry in the store ``url`` names."""
+    backend = backend_from_url(url)
+    if isinstance(backend, SqliteBackend):
+        return dict(backend._connect().execute(
+            "SELECT key, body FROM entries"))
+    return {path.stem: path.read_text(encoding="utf-8")
+            for path in backend.root.glob("*.json")}
+
+
+#: the plan the crash tests drain: figure1 at 2 cores, apache only.
+CRASH_SETTINGS = ExperimentSettings.quick(num_cores=2, ops_per_thread=150,
+                                          workloads=("apache",))
+
+#: a worker process draining figure1 at CRASH_SETTINGS into argv[1],
+#: after the patch that SIGKILLs it mid-cell.
+CRASH_CHILD = """
+import os
+import signal
+import sys
+
+import repro.campaign.queue as queue
+from repro import compile_study_plan, open_cache
+from repro.experiments.common import ExperimentSettings
+
+{patch}
+
+settings = ExperimentSettings.quick(num_cores=2, ops_per_thread=150,
+                                    workloads=("apache",))
+plan = compile_study_plan("figure1", settings)
+queue.QueueWorker(plan, open_cache(sys.argv[1]), worker_id="doomed",
+                  lease_ttl=1.0).drain()
+"""
+
+#: dies on its third simulation, holding that cell's lease.
+KILL_ON_THIRD_CELL = """
+real_simulate = queue._simulate_cell
+calls = []
+
+
+def dying_simulate(payload):
+    calls.append(payload)
+    if len(calls) == 3:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return real_simulate(payload)
+
+
+queue._simulate_cell = dying_simulate
+"""
+
+#: dies while renaming its first entry into place: a torn write.
+KILL_ON_ENTRY_RENAME = """
+real_replace = os.replace
+
+
+def dying_replace(src, dst, *args, **kwargs):
+    if ".json.tmp" in os.path.basename(src):
+        os.kill(os.getpid(), signal.SIGKILL)
+    return real_replace(src, dst, *args, **kwargs)
+
+
+os.replace = dying_replace
+"""
+
+
+def _run_crashing_worker(patch, url):
+    """Run the doomed worker in a child interpreter; it must die of -9."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", CRASH_CHILD.format(patch=patch), url],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True,
+        text=True, timeout=120)
+    assert proc.returncode == -9, proc.stderr[-4000:]
+
+
+def _rescue(plan, url):
+    """A peer worker finishes the plan; returns its report."""
+    worker = QueueWorker(plan, open_cache(url), worker_id="peer",
+                         poll_interval=0.02, max_wait=30.0)
+    return worker.drain()
+
+
 def _study_table(plan, cache):
     from repro import run_study
 
@@ -380,35 +443,20 @@ def _study_table(plan, cache):
 
 class TestDistributedDrain:
     def test_two_workers_match_serial_byte_for_byte(self, tmp_path):
-        settings = ExperimentSettings.quick(num_cores=2, ops_per_thread=200,
-                                            workloads=("apache", "barnes"))
-        plan = compile_study_plan("figure8", settings)
+        plan = compile_study_plan("figure8", RACE_SETTINGS)
 
         serial_url = f"sqlite://{tmp_path}/serial.sqlite"
         serial_table = _study_table(plan, open_cache(serial_url))
 
         shared_url = f"sqlite://{tmp_path}/shared.sqlite"
-        reports = {}
-        threads = [threading.Thread(target=_drain,
-                                    args=(plan, shared_url, wid, reports))
-                   for wid in ("w1", "w2")]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
+        reports = _race(plan, shared_url, ("w1", "w2"))
 
         # the plan was fully drained, each distinct key simulated once.
         total = sum(r.simulated for r in reports.values())
         assert total == len(QueueWorker(plan, open_cache(shared_url))._cells())
 
         # cache entries are byte-identical to the serial run's.
-        serial = SqliteBackend(tmp_path / "serial.sqlite")
-        shared = SqliteBackend(tmp_path / "shared.sqlite")
-        serial_rows = dict(serial._connect().execute(
-            "SELECT key, body FROM entries"))
-        shared_rows = dict(shared._connect().execute(
-            "SELECT key, body FROM entries"))
-        assert serial_rows == shared_rows
+        assert _entries(shared_url) == _entries(serial_url)
 
         # and a study run over the drained store simulates nothing while
         # producing the identical table.
@@ -417,6 +465,67 @@ class TestDistributedDrain:
         assert json.dumps(drained_table, sort_keys=True) == \
             json.dumps(serial_table, sort_keys=True)
         assert drained_cache.stats.misses == 0
+
+    @pytest.mark.parametrize("attempt", range(5))
+    @pytest.mark.parametrize("scheme", ["dir", "sqlite"])
+    def test_two_worker_race_is_exactly_once(self, scheme, attempt, tmp_path):
+        plan = compile_study_plan("figure8", RACE_SETTINGS)
+        serial_url = f"{scheme}://{tmp_path}/serial"
+        execute_plan("figure8", RACE_SETTINGS, cache=serial_url)
+
+        shared_url = f"{scheme}://{tmp_path}/shared"
+        reports = _race(plan, shared_url, ("w1", "w2"))
+        total = sum(r.simulated for r in reports.values())
+        assert total == len(QueueWorker(plan, open_cache(shared_url))._cells())
+        assert _entries(shared_url) == _entries(serial_url)
+
+    @pytest.mark.parametrize("scheme", ["dir", "sqlite"])
+    def test_more_workers_than_cores_switching_fast(self, scheme, tmp_path):
+        plan = compile_study_plan("figure8", RACE_SETTINGS)
+        url = f"{scheme}://{tmp_path}/shared"
+        workers = [f"w{n}" for n in range((os.cpu_count() or 1) + 1)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            reports = _race(plan, url, workers)
+        finally:
+            sys.setswitchinterval(interval)
+        total = sum(r.simulated for r in reports.values())
+        assert total == len(QueueWorker(plan, open_cache(url))._cells())
+
+    def test_worker_killed_mid_cell_sqlite(self, tmp_path):
+        plan = compile_study_plan("figure1", CRASH_SETTINGS)
+        url = f"sqlite://{tmp_path}/q.sqlite"
+        _run_crashing_worker(KILL_ON_THIRD_CELL, url)
+        # two cells finished; the third is leased to a dead worker.
+        assert len(open_cache(url)) == 2
+
+        report = _rescue(plan, url)
+        assert report.reissued == 1
+        assert report.simulated == len(QueueWorker(plan, open_cache(url))._cells()) - 2
+        serial_url = f"sqlite://{tmp_path}/serial.sqlite"
+        execute_plan("figure1", CRASH_SETTINGS, cache=serial_url)
+        assert _entries(url) == _entries(serial_url)
+
+    def test_worker_killed_mid_write_directory(self, tmp_path):
+        plan = compile_study_plan("figure1", CRASH_SETTINGS)
+        url = f"dir://{tmp_path}/store"
+        _run_crashing_worker(KILL_ON_ENTRY_RENAME, url)
+        # a torn write: the entry's tempfile and its lease, no entry.
+        (stray,) = (tmp_path / "store").glob("*.json.tmp*")
+        key = stray.name.split(".")[0]
+        cache = open_cache(url)
+        assert len(cache) == 0
+        assert not cache.contains(key)
+        assert cache.backend._read_lease(key)["owner"] == "doomed"
+
+        report = _rescue(plan, url)
+        assert report.reissued == 1
+        assert report.simulated == len(QueueWorker(plan, open_cache(url))._cells())
+        assert stray.exists() and len(cache) == report.simulated
+        serial_url = f"dir://{tmp_path}/serial"
+        execute_plan("figure1", CRASH_SETTINGS, cache=serial_url)
+        assert _entries(url) == _entries(serial_url)
 
     def test_crashed_workers_cells_are_reissued(self, tmp_path, tiny_result):
         settings = ExperimentSettings.quick(num_cores=2, ops_per_thread=150,

@@ -48,13 +48,13 @@ class TestFigureCommand:
 class TestSweepCommand:
     def test_quick_sweep_populates_cache_then_hits(self, capsys, tmp_path):
         cache_dir = str(tmp_path / "cache")
-        code = main(["sweep", "--quick", "--jobs", "2", "--cache-dir", cache_dir])
+        code = main(["sweep", "--quick", "--jobs", "2", "--cache", cache_dir])
         out = capsys.readouterr().out
         assert code == 0
         assert "Campaign sweep" in out
         assert "2 simulated, 0 cache hits" in out
 
-        code = main(["sweep", "--quick", "--jobs", "2", "--cache-dir", cache_dir])
+        code = main(["sweep", "--quick", "--jobs", "2", "--cache", cache_dir])
         out = capsys.readouterr().out
         assert code == 0
         assert "0 simulated, 2 cache hits" in out
@@ -69,7 +69,7 @@ class TestSweepCommand:
     def test_explicit_cells(self, capsys, tmp_path):
         code = main(["sweep", "--configs", "sc,tso", "--workloads", "barnes",
                      "--seeds", "1,2", "--cores", "2", "--ops", "300",
-                     "--cache-dir", str(tmp_path / "cache")])
+                     "--cache", str(tmp_path / "cache")])
         out = capsys.readouterr().out
         assert code == 0
         assert "4 cells" in out
@@ -77,7 +77,7 @@ class TestSweepCommand:
 
     def test_unknown_config_rejected(self, capsys, tmp_path):
         code = main(["sweep", "--configs", "bogus", "--quick",
-                     "--cache-dir", str(tmp_path / "cache")])
+                     "--cache", str(tmp_path / "cache")])
         assert code == 2
         assert "unknown configuration 'bogus'" in capsys.readouterr().err
 
@@ -90,7 +90,7 @@ class TestFigureCampaignFlags:
     def test_figure_with_jobs_and_cache(self, capsys, tmp_path):
         cache_dir = str(tmp_path / "cache")
         args = ["figure", "1", "--cores", "2", "--ops", "300",
-                "--workloads", "barnes", "--jobs", "2", "--cache-dir", cache_dir]
+                "--workloads", "barnes", "--jobs", "2", "--cache", cache_dir]
         assert main(args) == 0
         out = capsys.readouterr().out
         assert "3 simulated, 0 cache hits" in out

@@ -32,7 +32,6 @@ from repro.obs import (
     format_profile,
     telemetry_payload,
     write_chrome_trace,
-    write_telemetry,
 )
 from repro.workloads.registry import build_trace
 
@@ -238,6 +237,20 @@ class TestCacheStats:
         assert "1 stored" in report.describe(cache)
         # The pinned prefix format is unchanged (CI greps depend on it).
         assert "1 simulated, 0 cache hits" in report.describe(cache)
+
+    def test_recorder_counts_tallies_under_the_cache_label(self, tmp_path):
+        settings = ExperimentSettings(num_cores=2, ops_per_thread=120,
+                                      seeds=(3,), warmup_fraction=0.0)
+        cache = ResultCache(tmp_path / "cache")
+        jobs = [Job("sc", "apache", 3)]
+        CampaignExecutor(settings, jobs=1, cache=cache).run(jobs)
+        rec = TraceRecorder()
+        CampaignExecutor(settings, jobs=1, cache=cache, recorder=rec).run(jobs)
+        label = cache.describe()
+        assert label == f"dir:{tmp_path / 'cache'}"
+        assert rec.counters[f"cache.{label}.hits"] == 1
+        assert rec.counters[f"cache.{label}.misses"] == 0
+        assert rec.counters[f"cache.{label}.stores"] == 0
 
 
 class TestCLIProfile:

@@ -139,14 +139,14 @@ class TestContentionEndToEnd:
 class TestScalingCli:
     def test_small_preset_cold_then_cached(self, capsys, tmp_path):
         cache_dir = str(tmp_path / "cache")
-        code = main(["figure", "scaling", "--small", "--cache-dir", cache_dir])
+        code = main(["figure", "scaling", "--small", "--cache", cache_dir])
         out = capsys.readouterr().out
         assert code == 0
         assert "stall attribution" in out
         assert "cache hits" in out
         assert "6 simulated" in out
 
-        code = main(["figure", "scaling", "--small", "--cache-dir", cache_dir])
+        code = main(["figure", "scaling", "--small", "--cache", cache_dir])
         out = capsys.readouterr().out
         assert code == 0
         assert "0 simulated, 6 cache hits" in out

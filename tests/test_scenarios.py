@@ -497,7 +497,7 @@ class TestScenarioCli:
 
     def test_scenario_run_small(self, capsys, tmp_path):
         code = main(["scenario", "run", "false-sharing-storm", "--small",
-                     "--cache-dir", str(tmp_path / "cache")])
+                     "--cache", str(tmp_path / "cache")])
         out = capsys.readouterr().out
         assert code == 0
         assert "per-phase stall breakdown" in out
@@ -511,7 +511,7 @@ class TestScenarioCli:
     def test_sweep_accepts_scenario_names(self, capsys, tmp_path):
         code = main(["sweep", "--configs", "sc", "--workloads",
                      "bsp-compute,apache", "--cores", "2", "--ops", "300",
-                     "--cache-dir", str(tmp_path / "cache")])
+                     "--cache", str(tmp_path / "cache")])
         out = capsys.readouterr().out
         assert code == 0
         assert "bsp-compute" in out and "apache" in out
@@ -526,7 +526,7 @@ class TestScenarioCli:
     def test_figure_scenarios(self, capsys, tmp_path):
         code = main(["figure", "scenarios", "--cores", "2", "--ops", "400",
                      "--workloads", "bsp-compute",
-                     "--cache-dir", str(tmp_path / "cache")])
+                     "--cache", str(tmp_path / "cache")])
         out = capsys.readouterr().out
         assert code == 0
         assert "Scenario phases" in out

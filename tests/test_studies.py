@@ -215,7 +215,7 @@ class TestStudyCLI:
     def test_run_cold_then_cached_with_artifacts(self, capsys, tmp_path):
         args = ["study", "run", "figure1", "--cores", "2", "--ops", "300",
                 "--workloads", "barnes",
-                "--cache-dir", str(tmp_path / "cache"),
+                "--cache", str(tmp_path / "cache"),
                 "--out-dir", str(tmp_path / "artifacts")]
         assert main(args) == 0
         out = capsys.readouterr().out
@@ -232,7 +232,7 @@ class TestStudyCLI:
     def test_run_multiple_studies_one_plan(self, capsys, tmp_path):
         args = ["study", "run", "figure1", "figure9", "--cores", "2",
                 "--ops", "300", "--workloads", "barnes",
-                "--cache-dir", str(tmp_path / "cache"),
+                "--cache", str(tmp_path / "cache"),
                 "--out-dir", str(tmp_path / "artifacts")]
         assert main(args) == 0
         out = capsys.readouterr().out
